@@ -27,30 +27,19 @@ from .spectrum import (
     ModeSpectrum,
     OccupationState,
     crossing_fields,
-    eigenenergy,
     enumerate_levels,
     ground_energy,
     ground_sector,
     log_partition_function,
     mode_energies,
-    partition_function,
 )
 from .states import (
-    SectorIndex,
     SpinBasisVector,
-    build_eigenstate,
-    combination_rank,
     eigenbasis_matrix,
     ground_state,
-    label_of_occupation,
+    label_occupations,
     label_to_sector_index,
-    occupation_from_label,
-    occupation_from_sector_index,
-    sector_index_of,
     sector_index_to_label,
-    sine_coefficient,
-    sine_matrix,
-    slater_amplitude,
 )
 from .thermal import (
     DensityMatrix,
@@ -60,7 +49,6 @@ from .thermal import (
     label_energies,
     purity_analytic,
     purity_dense,
-    subspace_weights,
     thermal_density_matrix,
 )
 
@@ -77,14 +65,11 @@ __all__ = [
     "ModeSpectrum",
     "NumericalError",
     "OccupationState",
-    "SectorIndex",
     "SizeLimitError",
     "SpinBasisVector",
     "ThermalEnsemble",
     "boltzmann_weights",
-    "build_eigenstate",
     "build_hamiltonian",
-    "combination_rank",
     "convergence_report",
     "critical_temperature_two_qubit",
     "crossing_density",
@@ -92,31 +77,22 @@ __all__ = [
     "crossing_mixture",
     "diagonalize",
     "eigenbasis_matrix",
-    "eigenenergy",
     "enumerate_levels",
     "finite_size_energy_density",
     "ground_energy",
     "ground_sector",
     "ground_state",
     "label_energies",
-    "label_of_occupation",
+    "label_occupations",
     "label_to_sector_index",
     "log_partition_function",
     "mode_energies",
     "negativity",
-    "occupation_from_label",
-    "occupation_from_sector_index",
     "partial_transpose",
-    "partition_function",
     "purity_analytic",
     "purity_dense",
     "resolve_dense_cap",
-    "sector_index_of",
     "sector_index_to_label",
-    "sine_coefficient",
-    "sine_matrix",
-    "slater_amplitude",
-    "subspace_weights",
     "thermal_density_matrix",
     "thermo_energy_density",
     "two_qubit_separable",

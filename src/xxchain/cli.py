@@ -68,6 +68,8 @@ class AxisRange:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise UsageError(f"range ends must be finite, got {self.min}:{self.max}")
         if self.steps < 1:
             raise UsageError(f"range needs steps >= 1, got {self.steps}")
         if self.min > self.max:
@@ -104,6 +106,27 @@ def _parse_axis_range(text: str) -> AxisRange:
         raise UsageError(f"bad range {text!r}: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _parse_site_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -112,14 +135,14 @@ def _parse_site_list(text: str) -> tuple[int, ...]:
 
 
 def _add_field_axis(parser, required=True):
-    parser.add_argument("--b", type=float, help="single field value")
+    parser.add_argument("--b", type=_finite_float, help="single field value")
     parser.add_argument("--b-range", type=_parse_axis_range, metavar="MIN:MAX:STEPS",
                         help="inclusive linear field grid")
     parser.set_defaults(_b_required=required)
 
 
 def _add_temperature_axis(parser):
-    parser.add_argument("--t", type=float, help="single temperature (k_B = 1; 0 means T -> 0)")
+    parser.add_argument("--t", type=_finite_float, help="single temperature (k_B = 1; 0 means T -> 0)")
     parser.add_argument("--t-range", type=_parse_axis_range, metavar="MIN:MAX:STEPS",
                         help="inclusive linear temperature grid")
     parser.set_defaults(_t_required=True)
@@ -135,31 +158,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("spectrum", help="all 2^n energies over a field grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     _add_field_axis(p)
     _add_output_options(p)
 
     p = sub.add_parser("ground-state", help="spin-basis amplitudes of the sector-k ground state")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k", type=int, required=True, help="sector (flipped spins), 0..n")
     _add_output_options(p)
 
     p = sub.add_parser("crossings", help="table of ground-state crossing fields")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     _add_output_options(p)
 
     p = sub.add_parser("thermal", help="Boltzmann populations over (b, t) grids")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     _add_field_axis(p)
     _add_temperature_axis(p)
     _add_output_options(p)
 
     p = sub.add_parser("purity", help="purity surface over (b, t) grids")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     p.add_argument("--dense-cap", type=int, default=None,
                    help="override the dense cross-check cap (default 10 or XXCHAIN_DENSE_CAP)")
     _add_field_axis(p)
@@ -167,15 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
 
     p = sub.add_parser("purity-derivative", help="centered-difference d(purity)/db")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     _add_field_axis(p)
     _add_temperature_axis(p)
     _add_output_options(p)
 
     p = sub.add_parser("negativity", help="negativity sweep (plus the n=2 critical temperature)")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     p.add_argument("--split-a", type=_parse_site_list, default=None, metavar="SITES",
                    help="comma-separated sites of side A (default: first half)")
     p.add_argument("--dense-cap", type=int, default=None)
@@ -184,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
 
     p = sub.add_parser("thermo-limit", help="limit curve and finite-size deviations")
-    p.add_argument("--j", type=float, default=1.0)
-    p.add_argument("--sizes", type=int, nargs="+", default=[50])
+    p.add_argument("--j", type=_positive_float, default=1.0)
+    p.add_argument("--sizes", type=_positive_int, nargs="+", default=[50])
     _add_field_axis(p)
     _add_output_options(p)
 
     p = sub.add_parser("validate", help="cross-check the closed forms against the dense oracle")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, default=6)
+    p.add_argument("--j", type=_positive_float, default=1.0)
 
     return parser
 

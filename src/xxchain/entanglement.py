@@ -84,13 +84,14 @@ def critical_temperature_two_qubit(
     Bisection on log(4*p1*p4) - log((p2 - p3)^2), which stays finite where the
     raw populations underflow; the interval is narrowed below ``tol`` (well
     inside the 1e-8 contract) and the result is independent of the field.
+    ``bracket`` and ``tol`` are in units of J, as kT_c is proportional to J.
     """
     if params.n != 2:
         raise ValueError(f"defined for chains of two spins, got n = {params.n}")
     energies = label_energies(params)
 
     def margin(t: float) -> float:
-        beta = 1.0 / t
+        beta = 1.0 / (params.j * t)
         lw = -beta * energies
         aligned = math.log(4.0) + lw[0] + lw[3]
         hi, lo = (lw[1], lw[2]) if lw[1] >= lw[2] else (lw[2], lw[1])
@@ -106,4 +107,4 @@ def critical_temperature_two_qubit(
             t_lo = mid
         else:
             t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+    return params.j * (0.5 * (t_lo + t_hi))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Physical configuration: ``n`` spins, coupling ``j`` > 0, transverse field ``b``."""
+    """Physical configuration: ``n`` spins, finite coupling ``j`` > 0, finite transverse field ``b``."""
 
     n: int
     j: float = 1.0
@@ -34,8 +35,10 @@ class ChainParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"chain length must be a positive integer, got {self.n!r}")
-        if not self.j > 0:
-            raise ValueError(f"coupling must be positive, got {self.j!r}")
+        if not (math.isfinite(self.j) and self.j > 0):
+            raise ValueError(f"coupling must be positive and finite, got {self.j!r}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"field must be finite, got {self.b!r}")
 
 
 def resolve_dense_cap(override: int | None = None) -> int:

@@ -9,7 +9,6 @@ ground state hops between adjacent magnetization sectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -101,14 +100,6 @@ def crossing_fields(n: int, j: float = 1.0) -> CrossingSet:
     return CrossingSet(j * np.cos(np.pi * k / (n + 1)))
 
 
-def eigenenergy(params: ChainParams, occ: OccupationState) -> float:
-    """Energy of one occupation: sum of occupied mode energies minus n*b."""
-    if occ.n != params.n:
-        raise ValueError(f"occupation length {occ.n} does not match n = {params.n}")
-    lam = mode_energies(params).lambdas
-    return float(np.asarray(occ.bits, dtype=float) @ lam - params.n * params.b)
-
-
 def ground_sector(params: ChainParams) -> int | tuple[int, int]:
     """Number of negative-energy modes, i.e. flipped spins in the ground state.
 
@@ -164,11 +155,3 @@ def log_partition_function(params: ChainParams, beta: float) -> float:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
     lam = mode_energies(params).lambdas
     return float(beta * params.n * params.b + np.sum(np.logaddexp(0.0, -beta * lam)))
-
-
-def partition_function(params: ChainParams, beta: float) -> float:
-    """Z as a plain float; use :func:`log_partition_function` when beta*n*b is large."""
-    try:
-        return math.exp(log_partition_function(params, beta))
-    except OverflowError:
-        return math.inf

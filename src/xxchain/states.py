@@ -10,11 +10,11 @@ coefficients.  Index conventions, fixed once here:
   ``itertools.combinations(range(1, n + 1), m)``;
 * the determinant rows are the occupied modes ascending and the columns
   the positions ascending, which pins every amplitude's sign;
-* within a sector, eigenstates are ranked r = 1..C(n, m) by their
-  mode-occupation bitmask read as an integer (bit k-1 = mode k), so r = 1
-  is always the sector ground state (modes 1..m);
-* global labels l = 1..2^n concatenate the sectors m = 0..n in that order,
-  l = r + sum_{s<m} C(n, s).
+* :func:`label_occupations` is the one statement of the label order: global
+  labels l = 1..2^n run over the mode-occupation bitmasks (bit k-1 = mode k)
+  sorted by weight m, then by value.  So the sectors m = 0..n come in that
+  order, l = r + sum_{s<m} C(n, s), and within a sector the rank r = 1 is
+  always the sector ground state (modes 1..m).
 """
 
 from __future__ import annotations
@@ -27,51 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .params import STATE_CAP, check_cap
-from .spectrum import OccupationState
-
-
-def sine_coefficient(n: int, k: int, l: int) -> float:
-    """Orthogonal sine-transform entry sqrt(2/(n+1)) * sin(pi*k*l/(n+1))."""
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError(f"mode and site must lie in 1..{n}, got k={k}, l={l}")
-    return math.sqrt(2.0 / (n + 1)) * math.sin(math.pi * k * l / (n + 1))
-
-
-def sine_matrix(n: int) -> np.ndarray:
-    """The full transform, entry [k-1, l-1] = sine_coefficient(n, k, l)."""
-    k = np.arange(1, n + 1, dtype=float)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-
-
-def _sine_block(n: int, modes, positions) -> np.ndarray:
-    grid = np.multiply.outer(np.asarray(modes, dtype=float), np.asarray(positions, dtype=float))
-    return np.sin(np.pi * grid / (n + 1))
-
-
-def _check_ascending(n: int, values, what: str) -> tuple[int, ...]:
-    values = tuple(int(v) for v in values)
-    if any(not 1 <= v <= n for v in values):
-        raise ValueError(f"{what} must lie in 1..{n}, got {values}")
-    if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-        raise ValueError(f"{what} must be strictly ascending, got {values}")
-    return values
-
-
-def slater_amplitude(n: int, modes, positions) -> float:
-    """Spin-basis amplitude (2/(n+1))^(m/2) * det[sin(pi*p_a*l_b/(n+1))].
-
-    Rows are the modes ascending, columns the positions ascending; both
-    tuples must be strictly ascending and of equal length.
-    """
-    modes = _check_ascending(n, modes, "modes")
-    positions = _check_ascending(n, positions, "positions")
-    if len(modes) != len(positions):
-        raise ValueError(f"{len(modes)} modes vs {len(positions)} positions")
-    m = len(modes)
-    if m == 0:
-        return 1.0
-    det = float(np.linalg.det(_sine_block(n, modes, positions)))
-    return (2.0 / (n + 1)) ** (m / 2.0) * det
 
 
 @lru_cache(maxsize=None)
@@ -91,17 +46,16 @@ def sector_basis_indices(n: int, m: int) -> np.ndarray:
     return indices
 
 
-def combination_rank(n: int, positions) -> int:
-    """Lexicographic rank of an ascending position tuple, 0-based."""
-    positions = _check_ascending(n, positions, "positions")
-    m = len(positions)
-    rank = 0
-    prev = 0
-    for i, c in enumerate(positions):
-        for v in range(prev + 1, c):
-            rank += math.comb(n - v, m - i - 1)
-        prev = c
-    return rank
+@lru_cache(maxsize=None)
+def label_occupations(n: int) -> np.ndarray:
+    """Occupation bitmasks in global label order: entry l-1 is the state of label l."""
+    values = np.arange(1 << n, dtype=np.int64)
+    weights = np.zeros(1 << n, dtype=np.int64)
+    for k in range(n):
+        weights += (values >> k) & 1
+    ordered = values[np.lexsort((values, weights))]
+    ordered.setflags(write=False)
+    return ordered
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,24 +72,15 @@ class SpinBasisVector:
     def positions(self):
         return itertools.combinations(range(1, self.n + 1), self.m)
 
-    def amplitude(self, positions) -> float:
-        positions = tuple(positions)
-        if len(positions) != self.m:
-            raise ValueError(f"expected {self.m} positions, got {positions}")
-        return float(self.amplitudes[combination_rank(self.n, positions)])
-
     def to_dense(self) -> np.ndarray:
         """Embed into the full 2^n spin basis (bit l-1 of the index = site l flipped)."""
         dense = np.zeros(1 << self.n)
         dense[sector_basis_indices(self.n, self.m)] = self.amplitudes
         return dense
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.amplitudes @ self.amplitudes))
-
 
 def _amplitudes_for_modes(n: int, modes: np.ndarray) -> np.ndarray:
-    """All C(n, m) amplitudes of the state with the given modes occupied."""
+    """All C(n, m) amplitudes (2/(n+1))^(m/2) * det[sin(pi*k_a*l_b/(n+1))] of one state."""
     m = modes.size
     if m == 0:
         return np.ones(1)
@@ -144,32 +89,26 @@ def _amplitudes_for_modes(n: int, modes: np.ndarray) -> np.ndarray:
     return (2.0 / (n + 1)) ** (m / 2.0) * np.linalg.det(blocks)
 
 
-def build_eigenstate(n: int, occ: OccupationState, cap: int | None = None) -> SpinBasisVector:
-    """Spin-basis vector of the eigenstate with occupation ``occ``."""
-    check_cap(n, STATE_CAP if cap is None else cap, "eigenstate construction")
-    if occ.n != n:
-        raise ValueError(f"occupation length {occ.n} does not match n = {n}")
-    modes = np.asarray(occ.occupied_modes(), dtype=np.int64)
-    return SpinBasisVector(n, occ.m, _amplitudes_for_modes(n, modes))
-
-
 def ground_state(n: int, k: int, cap: int | None = None) -> SpinBasisVector:
     """Ground state of sector k: modes 1..k occupied."""
     if not 0 <= k <= n:
         raise ValueError(f"sector must satisfy 0 <= k <= {n}, got {k}")
-    occ = OccupationState(tuple(1 if i < k else 0 for i in range(n)))
-    return build_eigenstate(n, occ, cap)
+    check_cap(n, STATE_CAP if cap is None else cap, "eigenstate construction")
+    return SpinBasisVector(n, k, _amplitudes_for_modes(n, np.arange(1, k + 1, dtype=np.int64)))
 
 
 @lru_cache(maxsize=None)
 def sector_amplitude_matrix(n: int, m: int) -> np.ndarray:
-    """Row r-1 = amplitudes of the r-th sector-m eigenstate (read-only, cached)."""
-    check_cap(n, STATE_CAP, "sector eigenvector table")
-    count = math.comb(n, m)
-    rows = np.empty((count, count))
-    for r in range(1, count + 1):
-        modes = np.asarray(occupation_from_sector_index(r, m, n).occupied_modes(), dtype=np.int64)
-        rows[r - 1] = _amplitudes_for_modes(n, modes)
+    """Row r-1 = amplitudes of the r-th sector-m eigenstate (read-only, cached).
+
+    No size cap of its own: the callers building dense matrices check theirs.
+    """
+    start = sector_index_to_label(1, m, n) - 1
+    values = label_occupations(n)[start : start + math.comb(n, m)]
+    sites = np.arange(n)
+    rows = np.empty((values.size, values.size))
+    for r, value in enumerate(values):
+        rows[r] = _amplitudes_for_modes(n, np.flatnonzero((value >> sites) & 1) + 1)
     rows.setflags(write=False)
     return rows
 
@@ -210,55 +149,3 @@ def label_to_sector_index(l: int, n: int) -> tuple[int, int]:
             return rest, m
         rest -= count
     raise AssertionError("unreachable")
-
-
-def occupation_from_sector_index(r: int, m: int, n: int) -> OccupationState:
-    """The r-th occupation of weight m in ascending-bitmask order."""
-    if not 0 <= m <= n:
-        raise ValueError(f"sector must satisfy 0 <= m <= {n}, got {m}")
-    if not 1 <= r <= math.comb(n, m):
-        raise ValueError(f"rank must satisfy 1 <= r <= C({n},{m}), got {r}")
-    t = r - 1
-    bits = [0] * n
-    for i in range(m, 0, -1):
-        mode = i
-        while math.comb(mode, i) <= t:
-            mode += 1
-        t -= math.comb(mode - 1, i)
-        bits[mode - 1] = 1
-    return OccupationState(tuple(bits))
-
-
-def sector_index_of(occ: OccupationState) -> tuple[int, int]:
-    """(r, m) of an occupation under the ascending-bitmask sector ranking."""
-    modes = occ.occupied_modes()
-    r = 1 + sum(math.comb(mode - 1, i) for i, mode in enumerate(modes, start=1))
-    return r, occ.m
-
-
-def occupation_from_label(l: int, n: int) -> OccupationState:
-    r, m = label_to_sector_index(l, n)
-    return occupation_from_sector_index(r, m, n)
-
-
-def label_of_occupation(occ: OccupationState) -> int:
-    r, m = sector_index_of(occ)
-    return sector_index_to_label(r, m, occ.n)
-
-
-@dataclass(frozen=True)
-class SectorIndex:
-    """One eigenstate addressed three ways: rank r in sector m, global label l."""
-
-    r: int
-    m: int
-    l: int
-
-    @classmethod
-    def from_label(cls, l: int, n: int) -> "SectorIndex":
-        r, m = label_to_sector_index(l, n)
-        return cls(r, m, l)
-
-    @classmethod
-    def from_sector(cls, r: int, m: int, n: int) -> "SectorIndex":
-        return cls(r, m, sector_index_to_label(r, m, n))

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .params import ENUMERATION_CAP, ChainParams, check_cap, resolve_dense_cap
 from .spectrum import energies_for_occupation_values, mode_energies
-from .states import ground_state, sector_amplitude_matrix, sector_basis_indices
+from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices
 
 _DEGENERACY_ATOL = 1e-12
 
@@ -55,21 +54,9 @@ class DensityMatrix:
         return cls(dim, np.eye(dim) / dim)
 
 
-@lru_cache(maxsize=None)
-def _label_occupation_values(n: int) -> np.ndarray:
-    """Occupation bitmasks sorted into label order (by weight, then by value)."""
-    values = np.arange(1 << n, dtype=np.int64)
-    weights = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        weights += (values >> k) & 1
-    ordered = values[np.lexsort((values, weights))]
-    ordered.setflags(write=False)
-    return ordered
-
-
 def label_energies(params: ChainParams) -> np.ndarray:
     """Eigenenergies of all 2^n states in global label order."""
-    return energies_for_occupation_values(params, _label_occupation_values(params.n))
+    return energies_for_occupation_values(params, label_occupations(params.n))
 
 
 def boltzmann_weights(params: ChainParams, beta: float, cap: int | None = None) -> ThermalEnsemble:
@@ -101,19 +88,6 @@ def boltzmann_weights(params: ChainParams, beta: float, cap: int | None = None) 
         probs = weights / total
         log_z = -beta * lowest + math.log(total)
     return ThermalEnsemble(params, beta, probs, float(log_z))
-
-
-def subspace_weights(params: ChainParams, beta: float, cap: int | None = None) -> dict[tuple[int, int], float]:
-    """Weights keyed by (r, m): the label-order probabilities re-addressed per sector."""
-    ensemble = boltzmann_weights(params, beta, cap)
-    out: dict[tuple[int, int], float] = {}
-    offset = 0
-    for m in range(params.n + 1):
-        count = math.comb(params.n, m)
-        for r in range(1, count + 1):
-            out[(r, m)] = float(ensemble.probabilities[offset + r - 1])
-        offset += count
-    return out
 
 
 def thermal_density_matrix(params: ChainParams, beta: float, cap: int | None = None) -> DensityMatrix:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xxchain.cli import emit, render_csv, run
 
@@ -38,6 +42,40 @@ def test_bad_ranges_rejected(capsys):
     assert run(["spectrum", "--n", "2", "--b-range", "1:0:5"]) == 1
     assert run(["spectrum", "--n", "2", "--b-range", "0:1:0"]) == 1
     assert run(["purity", "--n", "2", "--b", "0", "--t-range", "-1:2:4"]) == 1
+
+
+NON_FINITE_ARGV = {
+    "--b": lambda v: ["purity", "--n", "2", "--b", v, "--t", "1"],
+    "--t": lambda v: ["purity", "--n", "2", "--b", "0", "--t", v],
+    "--j": lambda v: ["purity", "--n", "2", "--j", v, "--b", "0", "--t", "1"],
+    "--b-range min": lambda v: ["purity", "--n", "2", "--b-range", f"{v}:1:3", "--t", "1"],
+    "--b-range max": lambda v: ["purity", "--n", "2", "--b-range", f"-1:{v}:3", "--t", "1"],
+    "--t-range min": lambda v: ["purity", "--n", "2", "--b", "0", "--t-range", f"{v}:1:3"],
+    "--t-range max": lambda v: ["purity", "--n", "2", "--b", "0", "--t-range", f"0:{v}:3"],
+}
+
+
+@given(flag=st.sampled_from(sorted(NON_FINITE_ARGV)), value=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_input_is_usage_error(flag, value):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(NON_FINITE_ARGV[flag](value))
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "2", "--b", "0", "--j", "-1"],
+    ["spectrum", "--n", "2", "--b", "0", "--j", "0"],
+    ["spectrum", "--n", "0", "--b", "0"],
+    ["ground-state", "--n", "0", "--k", "0"],
+    ["validate", "--n", "-3"],
+    ["thermo-limit", "--sizes", "4", "0", "--b", "0"],
+])
+def test_out_of_domain_input_is_usage_error(argv, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_size_error_exit_code(capsys):

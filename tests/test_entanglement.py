@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xxchain import (
     BipartiteSplit,
@@ -118,6 +120,13 @@ def test_critical_temperature_scales_with_coupling(j):
     scaled = critical_temperature_two_qubit(ChainParams(n=2, j=j, b=0.4))
     reference = critical_temperature_two_qubit(ChainParams(n=2, b=0.4))
     assert scaled == pytest.approx(j * reference, abs=1e-8)
+
+
+@given(j=st.floats(1e-3, 1e4), field=st.floats(-2.0, 2.0))
+def test_critical_temperature_bracket_scales_with_coupling(j, field):
+    # the default bracket is read in units of J, so large and small couplings are bracketed too
+    kt = critical_temperature_two_qubit(ChainParams(n=2, j=j, b=field * j))
+    assert kt / j == pytest.approx(KT_C, abs=1e-8)
 
 
 def test_critical_temperature_requires_two_sites():

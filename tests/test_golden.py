@@ -1,0 +1,36 @@
+"""Byte-for-byte CLI output against committed golden files.
+
+Each file under ``tests/golden/`` is the stdout of ``run(argv)`` for the argv
+listed next to it, captured once and kept unchanged so that any refactor of
+the library shows up here as a byte difference.  Regenerate a file only when
+an output change is intended, by writing ``run(argv)``'s stdout to it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from xxchain.cli import run
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {
+    "spectrum_n3.csv": ["spectrum", "--n", "3", "--b-range", "-1:1:3"],
+    "ground_state_n4_k2.csv": ["ground-state", "--n", "4", "--k", "2"],
+    "ground_state_n4_k2.json": ["ground-state", "--n", "4", "--k", "2", "--format", "json"],
+    "crossings_n4.csv": ["crossings", "--n", "4"],
+    "thermal_n2.csv": ["thermal", "--n", "2", "--b-range", "-0.4:0.4:2", "--t-range", "0:1:2"],
+    "purity_n4.csv": ["purity", "--n", "4", "--b-range", "-1:1:3", "--t-range", "0:2:3"],
+    "purity_n4.json": ["purity", "--n", "4", "--b-range", "-1:1:3", "--t-range", "0:2:3", "--format", "json"],
+    "purity_derivative_n3.csv": ["purity-derivative", "--n", "3", "--b-range", "-0.5:0.5:3", "--t-range", "0.5:1:2"],
+    "negativity_n2.csv": ["negativity", "--n", "2", "--b-range", "0:0.5:2", "--t-range", "0.5:1.5:3"],
+    "negativity_n4.csv": ["negativity", "--n", "4", "--b", "0.2", "--t-range", "0.2:1:3"],
+    "thermo_limit.csv": ["thermo-limit", "--sizes", "4", "10", "--b-range", "-1:1:3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_file(name, capsys):
+    assert run(CASES[name]) == 0
+    expected = (GOLDEN_DIR / name).read_text()
+    assert capsys.readouterr().out == expected

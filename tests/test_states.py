@@ -8,27 +8,17 @@ from hypothesis import strategies as st
 
 from xxchain import (
     ChainParams,
-    OccupationState,
-    SectorIndex,
     SizeLimitError,
-    build_eigenstate,
     build_hamiltonian,
-    combination_rank,
     diagonalize,
     eigenbasis_matrix,
     ground_state,
     label_energies,
-    label_of_occupation,
+    label_occupations,
     label_to_sector_index,
-    occupation_from_label,
-    occupation_from_sector_index,
-    sector_index_of,
     sector_index_to_label,
-    sine_coefficient,
-    sine_matrix,
-    slater_amplitude,
 )
-from xxchain.states import _sine_block
+from xxchain.states import sector_amplitude_matrix
 
 A1_MINUS = 0.5 * math.sqrt(1 - 1 / math.sqrt(5))
 A1_PLUS = 0.5 * math.sqrt(1 + 1 / math.sqrt(5))
@@ -42,78 +32,69 @@ def assert_equal_up_to_sign(actual, expected, abs_tol):
     assert min(direct, flipped) < abs_tol
 
 
+def sine_transform(n):
+    # entry [k-1, l-1] = sqrt(2/(n+1)) * sin(pi*k*l/(n+1)), written out independently of the package
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+
+
 def test_sine_coefficient_closed_forms():
-    assert sine_coefficient(4, 1, 1) == pytest.approx(A1_MINUS, abs=1e-12)
-    assert sine_coefficient(4, 1, 2) == pytest.approx(A1_PLUS, abs=1e-12)
-    assert sine_coefficient(1, 1, 1) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_sine_coefficient_range_errors():
-    for k, l in [(0, 1), (1, 0), (5, 1), (1, 5)]:
-        with pytest.raises(ValueError):
-            sine_coefficient(4, k, l)
+    # the one-flip table is the sine transform: row = mode k, column = site l
+    assert sector_amplitude_matrix(4, 1)[0, 0] == pytest.approx(A1_MINUS, abs=1e-12)
+    assert sector_amplitude_matrix(4, 1)[0, 1] == pytest.approx(A1_PLUS, abs=1e-12)
+    assert sector_amplitude_matrix(1, 1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
 def test_sine_matrix_orthogonal(n):
-    s = sine_matrix(n)
+    s = sector_amplitude_matrix(n, 1)
     assert np.max(np.abs(s @ s.T - np.eye(n))) < 1e-10
+
+
+def test_sector_table_has_no_state_cap():
+    # the dense callers check the cap they are given, so --dense-cap 13 reaches this table
+    s = sector_amplitude_matrix(13, 1)
+    assert s.shape == (13, 13)
+    assert np.max(np.abs(s @ s.T - np.eye(13))) < 1e-10
+    assert np.max(np.abs(s - sine_transform(13))) < 1e-14
 
 
 @given(n=st.integers(1, 20), data=st.data())
 def test_slater_amplitude_single_mode_is_sine_coefficient(n, data):
     k = data.draw(st.integers(1, n))
     l = data.draw(st.integers(1, n))
-    assert slater_amplitude(n, (k,), (l,)) == pytest.approx(sine_coefficient(n, k, l), abs=1e-14)
+    assert sector_amplitude_matrix(n, 1)[k - 1, l - 1] == pytest.approx(sine_transform(n)[k - 1, l - 1], abs=1e-14)
 
 
 def test_slater_amplitude_pair_fixtures():
-    assert slater_amplitude(4, (1, 2), (1, 2)) == pytest.approx(A2, abs=1e-12)
-    assert slater_amplitude(4, (1, 2), (1, 3)) == pytest.approx(-0.5, abs=1e-12)
+    # row 0 of the two-flip table is modes (1, 2); columns 0 and 1 are positions (1, 2) and (1, 3)
+    assert sector_amplitude_matrix(4, 2)[0, 0] == pytest.approx(A2, abs=1e-12)
+    assert sector_amplitude_matrix(4, 2)[0, 1] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_slater_amplitude_empty_tuples():
-    assert slater_amplitude(3, (), ()) == 1.0
-
-
-def test_slater_amplitude_validation():
-    with pytest.raises(ValueError):
-        slater_amplitude(4, (2, 1), (1, 2))
-    with pytest.raises(ValueError):
-        slater_amplitude(4, (1, 1), (1, 2))
-    with pytest.raises(ValueError):
-        slater_amplitude(4, (1, 2), (1,))
-    with pytest.raises(ValueError):
-        slater_amplitude(4, (1, 5), (1, 2))
-
-
-def test_determinant_antisymmetry_and_collisions():
-    # the raw determinant flips sign under a mode swap and kills duplicates
-    ordered = np.linalg.det(_sine_block(6, (1, 3), (2, 5)))
-    swapped = np.linalg.det(_sine_block(6, (3, 1), (2, 5)))
-    assert swapped == pytest.approx(-ordered, abs=1e-12)
-    assert np.linalg.det(_sine_block(6, (2, 2), (1, 4))) == pytest.approx(0.0, abs=1e-12)
-    assert np.linalg.det(_sine_block(6, (1, 3), (4, 4))) == pytest.approx(0.0, abs=1e-12)
+    assert sector_amplitude_matrix(3, 0).tolist() == [[1.0]]
 
 
 def test_build_eigenstate_vacuum():
-    state = build_eigenstate(3, OccupationState((0, 0, 0)))
+    state = ground_state(3, 0)
     assert state.m == 0
     assert state.amplitudes == pytest.approx([1.0])
     assert state.to_dense()[0] == 1.0
+    assert np.array_equal(sector_amplitude_matrix(3, 0)[0], state.amplitudes)
 
 
 def test_build_eigenstate_one_flip_pattern():
-    state = build_eigenstate(4, OccupationState((1, 0, 0, 0)))
-    assert state.amplitudes == pytest.approx([A1_MINUS, A1_PLUS, A1_PLUS, A1_MINUS], abs=1e-12)
+    row = sector_amplitude_matrix(4, 1)[0]
+    assert row == pytest.approx([A1_MINUS, A1_PLUS, A1_PLUS, A1_MINUS], abs=1e-12)
 
 
 def test_build_eigenstate_two_flip_pattern():
-    state = build_eigenstate(4, OccupationState((1, 1, 0, 0)))
+    row = sector_amplitude_matrix(4, 2)[0]
     expected = [A2 * c for c in (1, math.sqrt(5), 2, 2, math.sqrt(5), 1)]
-    assert list(state.positions()) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    assert state.amplitudes == pytest.approx(expected, abs=1e-12)
-    assert state.amplitude((1, 3)) == pytest.approx(-0.5, abs=1e-12)
+    assert list(ground_state(4, 2).positions()) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert row == pytest.approx(expected, abs=1e-12)
+    assert row[1] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ground_state_product_endpoints():
@@ -131,17 +112,20 @@ def test_ground_state_three_flip_pattern_up_to_sign():
 
 def test_build_eigenstate_cap():
     with pytest.raises(SizeLimitError):
-        build_eigenstate(13, OccupationState.from_int(0, 13))
+        ground_state(13, 0)
     with pytest.raises(SizeLimitError):
-        build_eigenstate(5, OccupationState.from_int(3, 5), cap=4)
+        ground_state(5, 2, cap=4)
+    with pytest.raises(SizeLimitError):
+        eigenbasis_matrix(13)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), data=st.data())
 def test_eigenstates_normalized(n, data):
-    value = data.draw(st.integers(0, 2**n - 1))
-    state = build_eigenstate(n, OccupationState.from_int(value, n))
-    assert state.norm() == pytest.approx(1.0, abs=1e-10)
+    label = data.draw(st.integers(1, 2**n))
+    r, m = label_to_sector_index(label, n)
+    row = sector_amplitude_matrix(n, m)[r - 1]
+    assert math.sqrt(row @ row) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -153,8 +137,6 @@ def test_full_eigenbasis_orthonormal_small(n):
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_sector_gram_orthonormal(n):
-    from xxchain.states import sector_amplitude_matrix
-
     for m in range(n + 1):
         vectors = sector_amplitude_matrix(n, m)
         assert np.max(np.abs(vectors @ vectors.T - np.eye(vectors.shape[0]))) < 1e-10
@@ -214,36 +196,43 @@ def test_sector_index_validation():
         label_to_sector_index(17, 4)
 
 
+def popcount(value):
+    return bin(int(value)).count("1")
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_label_bijection_exhaustive(n):
-    seen = set()
+    occupations = label_occupations(n)
+    assert sorted(occupations.tolist()) == list(range(1 << n))
     for label in range(1, (1 << n) + 1):
         r, m = label_to_sector_index(label, n)
         assert sector_index_to_label(r, m, n) == label
-        occ = occupation_from_label(label, n)
-        assert occ.m == m
-        assert label_of_occupation(occ) == label
-        seen.add(occ.bits)
-    assert len(seen) == 1 << n
+        assert popcount(occupations[label - 1]) == m
 
 
 @given(n=st.integers(1, 12), data=st.data())
 def test_label_round_trip_property(n, data):
     label = data.draw(st.integers(1, 1 << n))
     r, m = label_to_sector_index(label, n)
-    index = SectorIndex.from_sector(r, m, n)
-    assert index.l == label
-    assert sector_index_of(occupation_from_sector_index(r, m, n)) == (r, m)
+    assert sector_index_to_label(r, m, n) == label
+    value = int(label_occupations(n)[label - 1])
+    same_weight_below = [v for v in range(value) if popcount(v) == m]
+    assert popcount(value) == m and len(same_weight_below) == r - 1
 
 
 def test_within_sector_rank_is_ascending_bitmask_order():
     n, m = 5, 2
-    values = [occupation_from_sector_index(r, m, n).to_int() for r in range(1, math.comb(n, m) + 1)]
+    start = sector_index_to_label(1, m, n) - 1
+    values = label_occupations(n)[start : start + math.comb(n, m)].tolist()
     assert values == sorted(values)
-    assert occupation_from_sector_index(1, m, n).occupied_modes() == (1, 2)
+    assert values[0] == 0b11  # modes (1, 2): the sector ground state
 
 
 def test_combination_rank_lexicographic():
+    # column c of a sector table is the c-th ascending position tuple in lex order
+    state = ground_state(6, 3)
     combos = list(itertools.combinations(range(1, 7), 3))
+    assert list(state.positions()) == combos
+    dense = state.to_dense()
     for rank, combo in enumerate(combos):
-        assert combination_rank(6, combo) == rank
+        assert dense[sum(1 << (p - 1) for p in combo)] == state.amplitudes[rank]

@@ -17,7 +17,7 @@ from xxchain import (
     label_energies,
     purity_analytic,
     purity_dense,
-    subspace_weights,
+    sector_index_to_label,
     thermal_density_matrix,
 )
 
@@ -117,23 +117,27 @@ def test_two_site_zero_field_populations():
     assert p == pytest.approx([1 / z, math.e / z, 1 / (math.e * z), 1 / z], abs=1e-14)
 
 
+def sector_slice(probabilities, n, m):
+    start = sector_index_to_label(1, m, n) - 1
+    return probabilities[start : start + math.comb(n, m)]
+
+
 def test_subspace_weights_relabeling():
     params = ChainParams(n=2, b=0.45)
-    q = subspace_weights(params, 1.7)
     p = boltzmann_weights(params, 1.7).probabilities
-    assert q[(1, 0)] == p[0]
-    assert q[(1, 1)] + q[(2, 1)] == pytest.approx(p[1] + p[2], abs=1e-15)
-    assert sum(q.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sector_slice(p, 2, 0).tolist() == [p[0]]
+    assert sector_slice(p, 2, 1).sum() == pytest.approx(p[1] + p[2], abs=1e-15)
+    assert sum(sector_slice(p, 2, m).sum() for m in range(3)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subspace_weights_uniform_and_symmetric():
     n = 4
-    q0 = subspace_weights(ChainParams(n=n, b=0.8), 0.0)
-    assert all(value == 0.5**n for value in q0.values())
-    q = subspace_weights(ChainParams(n=n, b=0.0), 1.2)
+    p0 = boltzmann_weights(ChainParams(n=n, b=0.8), 0.0).probabilities
+    assert all(np.all(sector_slice(p0, n, m) == 0.5**n) for m in range(n + 1))
+    p = boltzmann_weights(ChainParams(n=n, b=0.0), 1.2).probabilities
     for m in range(n + 1):
-        lower = sum(v for (r, mm), v in q.items() if mm == m)
-        upper = sum(v for (r, mm), v in q.items() if mm == n - m)
+        lower = sector_slice(p, n, m).sum()
+        upper = sector_slice(p, n, n - m).sum()
         assert lower == pytest.approx(upper, abs=1e-12)
 
 

@@ -13,8 +13,6 @@ from .entanglement import (
     two_qubit_separable,
 )
 from .limits import (
-    ConvergenceRow,
-    convergence_report,
     crossing_density,
     finite_size_energy_density,
     thermo_energy_density,
@@ -23,9 +21,7 @@ from .oracle import DenseHamiltonian, build_hamiltonian, diagonalize
 from .params import ChainParams, NumericalError, SizeLimitError, resolve_dense_cap
 from .spectrum import (
     CrossingSet,
-    EnergyLevel,
     ModeSpectrum,
-    OccupationState,
     crossing_fields,
     enumerate_levels,
     ground_energy,
@@ -57,20 +53,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteSplit",
     "ChainParams",
-    "ConvergenceRow",
     "CrossingSet",
     "DenseHamiltonian",
     "DensityMatrix",
-    "EnergyLevel",
     "ModeSpectrum",
     "NumericalError",
-    "OccupationState",
     "SizeLimitError",
     "SpinBasisVector",
     "ThermalEnsemble",
     "boltzmann_weights",
     "build_hamiltonian",
-    "convergence_report",
     "critical_temperature_two_qubit",
     "crossing_density",
     "crossing_fields",

@@ -15,7 +15,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,17 +38,6 @@ from .thermal import (
     purity_dense,
     thermal_density_matrix,
 )
-
-SCHEMAS = {
-    "spectrum": ["n", "b", "occupation", "m", "energy"],
-    "ground-state": ["n", "k", "positions", "amplitude"],
-    "crossings": ["k", "b_k"],
-    "thermal": ["n", "b", "t", "beta", "l", "r", "m", "energy", "probability"],
-    "purity": ["n", "b", "t", "beta", "purity_analytic", "purity_dense"],
-    "purity-derivative": ["n", "b", "t", "beta", "dpurity_db"],
-    "negativity": ["n", "b", "t", "split", "negativity", "separable"],
-    "thermo-limit": ["n", "b", "energy_density", "limit", "deviation"],
-}
 
 _DERIVATIVE_STEP = 1e-5
 
@@ -134,217 +124,136 @@ def _parse_site_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad site list {text!r}: {exc}") from exc
 
 
-def _add_field_axis(parser, required=True):
-    parser.add_argument("--b", type=_finite_float, help="single field value")
-    parser.add_argument("--b-range", type=_parse_axis_range, metavar="MIN:MAX:STEPS",
-                        help="inclusive linear field grid")
-    parser.set_defaults(_b_required=required)
-
-
-def _add_temperature_axis(parser):
-    parser.add_argument("--t", type=_finite_float, help="single temperature (k_B = 1; 0 means T -> 0)")
-    parser.add_argument("--t-range", type=_parse_axis_range, metavar="MIN:MAX:STEPS",
-                        help="inclusive linear temperature grid")
-    parser.set_defaults(_t_required=True)
-
-
-def _add_output_options(parser):
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="xxchain", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("spectrum", help="all 2^n energies over a field grid")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
-    _add_field_axis(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("ground-state", help="spin-basis amplitudes of the sector-k ground state")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--k", type=int, required=True, help="sector (flipped spins), 0..n")
-    _add_output_options(p)
-
-    p = sub.add_parser("crossings", help="table of ground-state crossing fields")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
-    _add_output_options(p)
-
-    p = sub.add_parser("thermal", help="Boltzmann populations over (b, t) grids")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
-    _add_field_axis(p)
-    _add_temperature_axis(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("purity", help="purity surface over (b, t) grids")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
-    p.add_argument("--dense-cap", type=int, default=None,
-                   help="override the dense cross-check cap (default 10 or XXCHAIN_DENSE_CAP)")
-    _add_field_axis(p)
-    _add_temperature_axis(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("purity-derivative", help="centered-difference d(purity)/db")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
-    _add_field_axis(p)
-    _add_temperature_axis(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("negativity", help="negativity sweep (plus the n=2 critical temperature)")
-    p.add_argument("--n", type=_positive_int, default=2)
-    p.add_argument("--j", type=_positive_float, default=1.0)
-    p.add_argument("--split-a", type=_parse_site_list, default=None, metavar="SITES",
-                   help="comma-separated sites of side A (default: first half)")
-    p.add_argument("--dense-cap", type=int, default=None)
-    _add_field_axis(p)
-    _add_temperature_axis(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("thermo-limit", help="limit curve and finite-size deviations")
-    p.add_argument("--j", type=_positive_float, default=1.0)
-    p.add_argument("--sizes", type=_positive_int, nargs="+", default=[50])
-    _add_field_axis(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("validate", help="cross-check the closed forms against the dense oracle")
-    p.add_argument("--n", type=_positive_int, default=6)
-    p.add_argument("--j", type=_positive_float, default=1.0)
-
-    return parser
+# option group -> its arguments as (flags, add_argument keywords); the dest of
+# each argument is a RunConfig field
+_OPTION_GROUPS = {
+    "n": [(("--n",), {"type": _positive_int, "required": True})],
+    "j": [(("--j",), {"type": _positive_float, "default": 1.0})],
+    "field": [
+        (("--b",), {"type": _finite_float, "help": "single field value"}),
+        (("--b-range",), {"type": _parse_axis_range, "metavar": "MIN:MAX:STEPS",
+                          "help": "inclusive linear field grid"}),
+    ],
+    "temperature": [
+        (("--t",), {"type": _finite_float, "help": "single temperature (k_B = 1; 0 means T -> 0)"}),
+        (("--t-range",), {"type": _parse_axis_range, "metavar": "MIN:MAX:STEPS",
+                          "help": "inclusive linear temperature grid"}),
+    ],
+    "k": [(("--k",), {"type": int, "required": True, "help": "sector (flipped spins), 0..n"})],
+    "sizes": [(("--sizes",), {"type": _positive_int, "nargs": "+", "default": [50]})],
+    "split-a": [(("--split-a",), {"type": _parse_site_list, "default": None, "metavar": "SITES",
+                                  "help": "comma-separated sites of side A (default: first half)"})],
+    "dense-cap": [(("--dense-cap",), {"type": int, "default": None,
+                                      "help": "override the dense cross-check cap (default 10 or XXCHAIN_DENSE_CAP)"})],
+    "output": [
+        (("--format",), {"choices": ("csv", "json"), "default": "csv"}),
+        (("--output", "-o"), {"default": None, "help": "output path (default: stdout)"}),
+    ],
+}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    b, b_range = getattr(args, "b", None), getattr(args, "b_range", None)
-    t, t_range = getattr(args, "t", None), getattr(args, "t_range", None)
-    if getattr(args, "_b_required", False):
-        if (b is None) == (b_range is None):
-            raise UsageError("give exactly one of --b or --b-range")
-    if getattr(args, "_t_required", False):
-        if (t is None) == (t_range is None):
+    options = _SUBCOMMANDS[args.subcommand].options
+    if "field" in options and (args.b is None) == (args.b_range is None):
+        raise UsageError("give exactly one of --b or --b-range")
+    if "temperature" in options:
+        if (args.t is None) == (args.t_range is None):
             raise UsageError("give exactly one of --t or --t-range")
-    for value in ([t] if t is not None else []) + (list(t_range.grid()) if t_range else []):
-        if value < 0:
-            raise UsageError(f"temperatures must be >= 0, got {value}")
-    sizes = getattr(args, "sizes", None)
-    return RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        j=getattr(args, "j", 1.0),
-        b=b,
-        b_range=b_range,
-        t=t,
-        t_range=t_range,
-        k=getattr(args, "k", None),
-        sizes=tuple(sizes) if sizes is not None else None,
-        split_a=getattr(args, "split_a", None),
-        format=getattr(args, "format", "csv"),
-        output=getattr(args, "output", None),
-        dense_cap=getattr(args, "dense_cap", None),
-    )
+        coldest = args.t if args.t is not None else args.t_range.min
+        if coldest < 0:
+            raise UsageError(f"temperatures must be >= 0, got {coldest}")
+    values = vars(args)
+    if "sizes" in values:
+        values["sizes"] = tuple(values["sizes"])
+    config = RunConfig(**values)
+    # the largest size and field bound every level energy, so checking them checks every chain
+    fields = _field_grid(config) if "field" in options else [0.0]
+    try:
+        ChainParams(n=max(config.sizes or (config.n,)), j=config.j, b=max(fields, key=abs))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return config
 
 
 def _field_grid(config: RunConfig) -> list[float]:
     return [config.b] if config.b is not None else [float(v) for v in config.b_range.grid()]
 
 
-def _temperature_grid(config: RunConfig) -> list[float]:
-    return [config.t] if config.t is not None else [float(v) for v in config.t_range.grid()]
-
-
-def _beta_of(t: float) -> float:
-    return math.inf if t == 0 else 1.0 / t
-
-
-# --- row builders -------------------------------------------------------------
-
-
-def _rows_spectrum(config: RunConfig) -> list[dict]:
-    rows = []
+def _points(config: RunConfig):
+    """(b, t, beta, params) over the field grid, temperatures varying fastest; t = 0 is beta = inf."""
+    temperatures = [config.t] if config.t is not None else [float(v) for v in config.t_range.grid()]
     for b in _field_grid(config):
         params = ChainParams(n=config.n, j=config.j, b=b)
-        for level in enumerate_levels(params):
-            rows.append({
-                "n": config.n,
-                "b": b,
-                "occupation": level.occupation.to_int(),
-                "m": level.occupation.m,
-                "energy": level.energy,
-            })
-    return rows
+        for t in temperatures:
+            yield b, t, math.inf if t == 0 else 1.0 / t, params
 
 
-def _rows_ground_state(config: RunConfig) -> list[dict]:
+# --- row builders: each returns (rows, JSON meta extras) ------------------------
+
+
+def _rows_spectrum(config: RunConfig):
+    fields = _field_grid(config)
+    energies = [enumerate_levels(ChainParams(n=config.n, j=config.j, b=b)) for b in fields]
+    # one set of occupation and m cells, shared by the rows of every field
+    cells = [(occupation, occupation.bit_count()) for occupation in range(1 << config.n)]
+    rows = [
+        {"n": config.n, "b": b, "occupation": occupation, "m": m, "energy": energy}
+        for b, levels in zip(fields, energies)
+        for (occupation, m), energy in zip(cells, levels.tolist())
+    ]
+    return rows, {}
+
+
+def _rows_ground_state(config: RunConfig):
     vector = ground_state(config.n, config.k)
-    return [
+    rows = [
         {"n": config.n, "k": config.k, "positions": list(combo), "amplitude": float(amp)}
         for combo, amp in zip(vector.positions(), vector.amplitudes)
     ]
+    return rows, {}
 
 
-def _rows_crossings(config: RunConfig) -> list[dict]:
+def _rows_crossings(config: RunConfig):
     fields = crossing_fields(config.n, config.j).fields_b
-    return [{"k": k + 1, "b_k": float(v)} for k, v in enumerate(fields)]
+    return [{"k": k + 1, "b_k": float(v)} for k, v in enumerate(fields)], {}
 
 
-def _rows_thermal(config: RunConfig) -> list[dict]:
+def _rows_thermal(config: RunConfig):
+    sectors = [(label, *label_to_sector_index(label, config.n)) for label in range(1, (1 << config.n) + 1)]
     rows = []
-    for b in _field_grid(config):
-        params = ChainParams(n=config.n, j=config.j, b=b)
-        energies = label_energies(params)
-        for t in _temperature_grid(config):
-            beta = _beta_of(t)
-            ensemble = boltzmann_weights(params, beta)
-            for label in range(1, (1 << config.n) + 1):
-                r, m = label_to_sector_index(label, config.n)
-                rows.append({
-                    "n": config.n, "b": b, "t": t, "beta": beta,
-                    "l": label, "r": r, "m": m,
-                    "energy": float(energies[label - 1]),
-                    "probability": float(ensemble.probabilities[label - 1]),
-                })
-    return rows
+    for b, t, beta, params in _points(config):
+        energies = label_energies(params).tolist()
+        probabilities = boltzmann_weights(params, beta).probabilities.tolist()
+        rows.extend(
+            {"n": config.n, "b": b, "t": t, "beta": beta, "l": label, "r": r, "m": m,
+             "energy": energy, "probability": probability}
+            for (label, r, m), energy, probability in zip(sectors, energies, probabilities)
+        )
+    return rows, {}
 
 
-def _rows_purity(config: RunConfig) -> list[dict]:
+def _rows_purity(config: RunConfig):
     cap = resolve_dense_cap(config.dense_cap)
-    rows = []
-    for b in _field_grid(config):
-        params = ChainParams(n=config.n, j=config.j, b=b)
-        for t in _temperature_grid(config):
-            beta = _beta_of(t)
-            dense = None
-            if config.n <= cap:
-                dense = purity_dense(thermal_density_matrix(params, beta, cap))
-            rows.append({
-                "n": config.n, "b": b, "t": t, "beta": beta,
-                "purity_analytic": purity_analytic(params, beta),
-                "purity_dense": dense,
-            })
-    return rows
+    rows = [
+        {"n": config.n, "b": b, "t": t, "beta": beta,
+         "purity_analytic": purity_analytic(params, beta),
+         "purity_dense": purity_dense(thermal_density_matrix(params, beta, cap)) if config.n <= cap else None}
+        for b, t, beta, params in _points(config)
+    ]
+    return rows, {}
 
 
-def _rows_purity_derivative(config: RunConfig) -> list[dict]:
+def _rows_purity_derivative(config: RunConfig):
     h = _DERIVATIVE_STEP
     rows = []
-    for b in _field_grid(config):
-        for t in _temperature_grid(config):
-            beta = _beta_of(t)
-            upper = purity_analytic(ChainParams(n=config.n, j=config.j, b=b + h), beta)
-            lower = purity_analytic(ChainParams(n=config.n, j=config.j, b=b - h), beta)
-            rows.append({
-                "n": config.n, "b": b, "t": t, "beta": beta,
-                "dpurity_db": (upper - lower) / (2 * h),
-            })
-    return rows
+    for b, t, beta, _ in _points(config):
+        upper = purity_analytic(ChainParams(n=config.n, j=config.j, b=b + h), beta)
+        lower = purity_analytic(ChainParams(n=config.n, j=config.j, b=b - h), beta)
+        rows.append({"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": (upper - lower) / (2 * h)})
+    return rows, {}
 
 
-def _rows_negativity(config: RunConfig) -> tuple[list[dict], dict]:
+def _rows_negativity(config: RunConfig):
     sites_a = config.split_a if config.split_a is not None else tuple(range(1, config.n // 2 + 1))
     try:
         split = BipartiteSplit.of(config.n, sites_a)
@@ -352,15 +261,10 @@ def _rows_negativity(config: RunConfig) -> tuple[list[dict], dict]:
         raise UsageError(str(exc)) from exc
     cap = resolve_dense_cap(config.dense_cap)
     rows = []
-    for b in _field_grid(config):
-        params = ChainParams(n=config.n, j=config.j, b=b)
-        for t in _temperature_grid(config):
-            rho = thermal_density_matrix(params, _beta_of(t), cap)
-            value = negativity(rho, split, cap)
-            rows.append({
-                "n": config.n, "b": b, "t": t, "split": str(split),
-                "negativity": value, "separable": bool(value <= PPT_ATOL),
-            })
+    for b, t, beta, params in _points(config):
+        value = negativity(thermal_density_matrix(params, beta, cap), split, cap)
+        rows.append({"n": config.n, "b": b, "t": t, "split": str(split),
+                     "negativity": value, "separable": bool(value <= PPT_ATOL)})
     extra = {}
     if config.n == 2:
         params = ChainParams(n=2, j=config.j, b=_field_grid(config)[0])
@@ -369,7 +273,7 @@ def _rows_negativity(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, extra
 
 
-def _rows_thermo_limit(config: RunConfig) -> list[dict]:
+def _rows_thermo_limit(config: RunConfig):
     rows = []
     for n in config.sizes:
         for b in _field_grid(config):
@@ -381,21 +285,22 @@ def _rows_thermo_limit(config: RunConfig) -> list[dict]:
                 "limit": limit_value,
                 "deviation": abs(density - limit_value),
             })
-    return rows
+    return rows, {}
 
 
 # --- oracle validation ----------------------------------------------------------
 
 
-def _run_validate(config: RunConfig) -> int:
+def _rows_validate(config: RunConfig):
+    """One (name, worst, tolerance) row per cross-check of the closed forms."""
     n, j = config.n, config.j
     fields = [-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2]
-    checks: list[tuple[str, float, float]] = []  # name, worst, tolerance
+    checks: list[tuple[str, float, float]] = []
 
     worst = 0.0
     for b in fields:
         params = ChainParams(n=n, j=j, b=b)
-        closed = np.sort([level.energy for level in enumerate_levels(params)])
+        closed = np.sort(enumerate_levels(params))
         dense = diagonalize(build_hamiltonian(params))[0]
         worst = max(worst, float(np.max(np.abs(closed - dense))))
     checks.append(("eigenvalue-multiset", worst, 1e-10))
@@ -422,26 +327,30 @@ def _run_validate(config: RunConfig) -> int:
     for b in (-0.5, 0.31):
         params = ChainParams(n=n, j=j, b=b)
         for beta in (0.0, 0.7, 2.1):
-            direct = sum(math.exp(-beta * level.energy) for level in enumerate_levels(params))
+            direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(params).tolist())
             log_z = log_partition_function(params, beta)
             worst = max(worst, abs(math.exp(log_z) - direct) / direct)
     checks.append(("partition-function", worst, 1e-12))
 
     worst = 0.0
-    for index, field in enumerate(crossing_fields(n, j).fields_b):
-        params = ChainParams(n=n, j=j, b=float(field))
+    for index, field_b in enumerate(crossing_fields(n, j).fields_b):
+        params = ChainParams(n=n, j=j, b=float(field_b))
         gap = ground_energy(params, index) - ground_energy(params, index + 1)
         worst = max(worst, abs(gap))
     checks.append(("crossing-degeneracy", worst, 1e-12))
+    return checks, {}
 
-    print(f"validate n={n} j={j:g}")
+
+def _write_report(checks, columns, config: RunConfig, extra_meta: dict) -> None:
+    print(f"validate n={config.n} j={config.j:g}")
     failures = 0
     for name, value, tolerance in checks:
         ok = value <= tolerance
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {name:<22} worst = {value:.3e} (tol {tolerance:.0e})")
     print(f"{len(checks) - failures} checks passed, {failures} failed")
-    return 0 if failures == 0 else 2
+    if failures:
+        raise NumericalError(f"{failures} of {len(checks)} validation checks failed")
 
 
 # --- output -------------------------------------------------------------------
@@ -486,29 +395,74 @@ def emit(rows: list[dict], fieldnames: list[str], config: RunConfig, extra_meta:
             handle.write(text)
 
 
-_BUILDERS = {
-    "spectrum": _rows_spectrum,
-    "ground-state": _rows_ground_state,
-    "crossings": _rows_crossings,
-    "thermal": _rows_thermal,
-    "purity": _rows_purity,
-    "purity-derivative": _rows_purity_derivative,
-    "thermo-limit": _rows_thermo_limit,
+# --- the subcommand table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    help: str
+    options: tuple[str, ...]  # keys of _OPTION_GROUPS, in --help order
+    columns: tuple[str, ...]  # CSV header; empty for a report
+    build: Callable[[RunConfig], tuple[list, dict]]
+    write: Callable[[list, tuple[str, ...], RunConfig, dict], None] | None = None  # None: emit
+    defaults: dict = field(default_factory=dict)  # dest -> default, making that option optional
+
+
+_SUBCOMMANDS = {
+    "spectrum": _Subcommand(
+        "all 2^n energies over a field grid", ("n", "j", "field", "output"),
+        ("n", "b", "occupation", "m", "energy"), _rows_spectrum),
+    "ground-state": _Subcommand(
+        "spin-basis amplitudes of the sector-k ground state", ("n", "k", "output"),
+        ("n", "k", "positions", "amplitude"), _rows_ground_state),
+    "crossings": _Subcommand(
+        "table of ground-state crossing fields", ("n", "j", "output"),
+        ("k", "b_k"), _rows_crossings),
+    "thermal": _Subcommand(
+        "Boltzmann populations over (b, t) grids", ("n", "j", "field", "temperature", "output"),
+        ("n", "b", "t", "beta", "l", "r", "m", "energy", "probability"), _rows_thermal),
+    "purity": _Subcommand(
+        "purity surface over (b, t) grids", ("n", "j", "dense-cap", "field", "temperature", "output"),
+        ("n", "b", "t", "beta", "purity_analytic", "purity_dense"), _rows_purity),
+    "purity-derivative": _Subcommand(
+        "centered-difference d(purity)/db", ("n", "j", "field", "temperature", "output"),
+        ("n", "b", "t", "beta", "dpurity_db"), _rows_purity_derivative),
+    "negativity": _Subcommand(
+        "negativity sweep (plus the n=2 critical temperature)",
+        ("n", "j", "split-a", "dense-cap", "field", "temperature", "output"),
+        ("n", "b", "t", "split", "negativity", "separable"), _rows_negativity, defaults={"n": 2}),
+    "thermo-limit": _Subcommand(
+        "limit curve and finite-size deviations", ("j", "sizes", "field", "output"),
+        ("n", "b", "energy_density", "limit", "deviation"), _rows_thermo_limit),
+    "validate": _Subcommand(
+        "cross-check the closed forms against the dense oracle", ("n", "j"),
+        (), _rows_validate, _write_report, defaults={"n": 6}),
 }
 
 
-_VALUE_FLAGS = frozenset(
-    {"--b", "--t", "--j", "--b-range", "--t-range", "--n", "--k", "--dense-cap", "--split-a", "--output", "-o", "--format"}
-)
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="xxchain", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for group in spec.options:
+            for flags, keywords in _OPTION_GROUPS[group]:
+                dest = flags[0].lstrip("-").replace("-", "_")
+                if dest in spec.defaults:
+                    keywords = {**keywords, "required": False, "default": spec.defaults[dest]}
+                p.add_argument(*flags, **keywords)
+    return parser
 
 
 def _merge_flag_values(argv: list[str]) -> list[str]:
     # fold "--b -0.5:..." into "--b=-0.5:...", else argparse reads the value as a flag
+    value_flags = {flag for group in _OPTION_GROUPS.values() for flags, keywords in group
+                   if "nargs" not in keywords for flag in flags}
     merged = []
     index = 0
     while index < len(argv):
         token = argv[index]
-        if token in _VALUE_FLAGS and index + 1 < len(argv):
+        if token in value_flags and index + 1 < len(argv):
             merged.append(f"{token}={argv[index + 1]}")
             index += 2
         else:
@@ -521,19 +475,10 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_merge_flag_values(list(argv)))
-        config = _config_from_args(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if config.subcommand == "validate":
-            return _run_validate(config)
-        if config.subcommand == "negativity":
-            rows, extra = _rows_negativity(config)
-        else:
-            rows, extra = _BUILDERS[config.subcommand](config), {}
-        emit(rows, SCHEMAS[config.subcommand], config, extra)
+        config = _config_from_args(build_parser().parse_args(_merge_flag_values(list(argv))))
+        spec = _SUBCOMMANDS[config.subcommand]
+        rows, extra_meta = spec.build(config)
+        (spec.write or emit)(rows, spec.columns, config, extra_meta)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,23 +1,13 @@
-"""Thermodynamic-limit ground-energy density and finite-size convergence."""
+"""Thermodynamic-limit ground-energy density and the finite-size density compared with it."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .params import ChainParams
 from .spectrum import ground_energy, ground_sector
 
 _EDGE_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    b: float
-    energy_density: float
-    limit_value: float
-    deviation: float
 
 
 def thermo_energy_density(b: float) -> float:
@@ -48,13 +38,3 @@ def crossing_density(omega: float) -> float:
     if not 0.0 < omega < 1.0:
         raise ValueError(f"sector fraction must lie in (0, 1), got {omega!r}")
     return math.cos(math.pi * omega)
-
-
-def convergence_report(b: float, sizes) -> list[ConvergenceRow]:
-    """Per-size energy densities at field b compared against the limit curve."""
-    limit_value = thermo_energy_density(b)
-    rows = []
-    for n in sizes:
-        density = finite_size_energy_density(n, b)
-        rows.append(ConvergenceRow(n, b, density, limit_value, abs(density - limit_value)))
-    return rows

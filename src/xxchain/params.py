@@ -26,7 +26,10 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Physical configuration: ``n`` spins, finite coupling ``j`` > 0, finite transverse field ``b``."""
+    """Physical configuration: ``n`` spins, coupling ``j`` > 0 and transverse field ``b``.
+
+    ``j`` and ``b`` must keep n*(3|b| + 2j) finite, so no level energy overflows.
+    """
 
     n: int
     j: float = 1.0
@@ -37,8 +40,14 @@ class ChainParams:
             raise ValueError(f"chain length must be a positive integer, got {self.n!r}")
         if not (math.isfinite(self.j) and self.j > 0):
             raise ValueError(f"coupling must be positive and finite, got {self.j!r}")
-        if not math.isfinite(self.b):
-            raise ValueError(f"field must be finite, got {self.b!r}")
+        # n*(3|b| + 2j) bounds every level energy and every partial sum behind it
+        try:
+            bound = self.n * (3.0 * abs(self.b) + 2.0 * self.j)
+        except OverflowError:  # n itself is beyond the float range
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(f"level energies overflow: n*(3|b| + 2j) must be finite, got n = {self.n}, "
+                             f"j = {self.j!r}, b = {self.b!r}")
 
 
 def resolve_dense_cap(override: int | None = None) -> int:

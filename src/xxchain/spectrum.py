@@ -4,13 +4,14 @@ Conventions used everywhere downstream: modes are 1-based, k = 1..n, with
 mode energy lam_k = 2*b - 2*j*cos(pi*k/(n+1)); the all-spins-up product state
 is the mode vacuum at energy -n*b, and occupying mode k adds lam_k.  The
 fields where lam_k changes sign, b_k = j*cos(pi*k/(n+1)), are where the
-ground state hops between adjacent magnetization sectors.
+ground state hops between adjacent magnetization sectors.  The full spectrum,
+:func:`enumerate_levels`, is one array of all 2^n energies in bitmask order:
+entry v is the level whose occupied modes are the set bits of v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -31,43 +32,6 @@ class ModeSpectrum:
     @property
     def n(self) -> int:
         return self.lambdas.size
-
-
-@dataclass(frozen=True)
-class OccupationState:
-    """Binary occupation vector over modes; bit k-1 of :meth:`to_int` is mode k."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.bits or any(bit not in (0, 1) for bit in self.bits):
-            raise ValueError(f"bits must be a non-empty 0/1 tuple, got {self.bits!r}")
-
-    @classmethod
-    def from_int(cls, value: int, n: int) -> "OccupationState":
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"occupation value {value} out of range for n = {n}")
-        return cls(tuple((value >> k) & 1 for k in range(n)))
-
-    def to_int(self) -> int:
-        return sum(bit << k for k, bit in enumerate(self.bits))
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def m(self) -> int:
-        return sum(self.bits)
-
-    def occupied_modes(self) -> tuple[int, ...]:
-        return tuple(k + 1 for k, bit in enumerate(self.bits) if bit)
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    occupation: OccupationState
-    energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,20 +97,13 @@ def energies_for_occupation_values(params: ChainParams, values: np.ndarray) -> n
     return out - params.n * params.b
 
 
-def enumerate_levels(params: ChainParams, cap: int | None = None) -> Iterator[EnergyLevel]:
-    """All 2^n (occupation, energy) pairs, occupation bitmask ascending."""
+def enumerate_levels(params: ChainParams, cap: int | None = None) -> np.ndarray:
+    """All 2^n level energies (read-only), entry v = occupation bitmask v (bit k-1 = mode k)."""
     limit = ENUMERATION_CAP if cap is None else cap
     check_cap(params.n, limit, "level enumeration")
-    return _iter_levels(params)
-
-
-def _iter_levels(params: ChainParams) -> Iterator[EnergyLevel]:
-    n = params.n
-    for start in range(0, 1 << n, _CHUNK):
-        values = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        energies = energies_for_occupation_values(params, values)
-        for value, energy in zip(values.tolist(), energies.tolist()):
-            yield EnergyLevel(OccupationState.from_int(value, n), energy)
+    energies = energies_for_occupation_values(params, np.arange(1 << params.n, dtype=np.int64))
+    energies.setflags(write=False)
+    return energies
 
 
 def log_partition_function(params: ChainParams, beta: float) -> float:

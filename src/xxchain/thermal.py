@@ -139,7 +139,8 @@ def crossing_mixture(n: int, k: int, cap: int | None = None) -> DensityMatrix:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n - 1 = {n - 1}, got {k}")
-    check_cap(n, resolve_dense_cap(cap), "crossing mixture")
-    lower = ground_state(n, k).to_dense()
-    upper = ground_state(n, k + 1).to_dense()
+    limit = resolve_dense_cap(cap)
+    check_cap(n, limit, "crossing mixture")
+    lower = ground_state(n, k, limit).to_dense()
+    upper = ground_state(n, k + 1, limit).to_dense()
     return DensityMatrix(1 << n, 0.5 * (np.outer(lower, lower) + np.outer(upper, upper)))

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xxchain.cli import emit, render_csv, run
+from xxchain.cli import _SUBCOMMANDS, emit, render_csv, run
 
 CROSSINGS_N4 = (
     "k,b_k\n"
@@ -44,6 +46,13 @@ def test_bad_ranges_rejected(capsys):
     assert run(["purity", "--n", "2", "--b", "0", "--t-range", "-1:2:4"]) == 1
 
 
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 NON_FINITE_ARGV = {
     "--b": lambda v: ["purity", "--n", "2", "--b", v, "--t", "1"],
     "--t": lambda v: ["purity", "--n", "2", "--b", "0", "--t", v],
@@ -57,12 +66,9 @@ NON_FINITE_ARGV = {
 
 @given(flag=st.sampled_from(sorted(NON_FINITE_ARGV)), value=st.sampled_from(["nan", "inf", "-inf"]))
 def test_non_finite_input_is_usage_error(flag, value):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(NON_FINITE_ARGV[flag](value))
-    assert code == 1
-    assert out.getvalue() == ""
-    assert err.getvalue().startswith("error:")
+    code, out, err = run_captured(NON_FINITE_ARGV[flag](value))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -72,10 +78,32 @@ def test_non_finite_input_is_usage_error(flag, value):
     ["ground-state", "--n", "0", "--k", "0"],
     ["validate", "--n", "-3"],
     ["thermo-limit", "--sizes", "4", "0", "--b", "0"],
+    ["spectrum", "--n", "2", "--b", "1e308"],
 ])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert run(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 20),
+    big=st.floats(min_value=1e300, max_value=1.7e308),
+    sign=st.sampled_from([-1.0, 1.0]),
+    on_field=st.booleans(),
+)
+def test_overflowing_input_is_usage_error(n, big, sign, on_field):
+    j, b = (1.0, sign * big) if on_field else (big, sign * 0.5)
+    code, out, err = run_captured(["thermo-limit", "--sizes", str(n), "--j", repr(j), "--b", repr(b)])
+    if math.isfinite(n * (3 * abs(b) + 2 * j)):
+        assert code == 0
+        cells = [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
 
 def test_size_error_exit_code(capsys):
@@ -242,3 +270,14 @@ def test_emit_header_only_for_empty_rows(capsys):
 def test_csv_float_formatting_nine_significant_digits():
     text = render_csv([{"x": 0.8090169943749475, "y": 1 / 3}], ["x", "y"])
     assert text == "x,y\n0.809016994,0.333333333\n"
+
+
+def test_readme_subcommand_table_matches_cli():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| subcommand | emits |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = []
+    for line in table.splitlines():
+        name = re.match(r"\| `([^`]+)` \|", line).group(1)
+        header = re.search(r"\(`([^`]*)`\)", line)
+        documented.append((name, header.group(1) if header else ""))
+    assert documented == [(name, ",".join(spec.columns)) for name, spec in _SUBCOMMANDS.items()]

@@ -26,6 +26,9 @@ CASES = {
     "negativity_n2.csv": ["negativity", "--n", "2", "--b-range", "0:0.5:2", "--t-range", "0.5:1.5:3"],
     "negativity_n4.csv": ["negativity", "--n", "4", "--b", "0.2", "--t-range", "0.2:1:3"],
     "thermo_limit.csv": ["thermo-limit", "--sizes", "4", "10", "--b-range", "-1:1:3"],
+    "spectrum_n3.json": ["spectrum", "--n", "3", "--b", "0.5", "--format", "json"],
+    "negativity_n2.json": ["negativity", "--n", "2", "--b", "0.3", "--t-range", "0.5:1.5:3", "--format", "json"],
+    "thermo_limit.json": ["thermo-limit", "--sizes", "4", "--b", "0.5", "--format", "json"],
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xxchain import (
-    convergence_report,
     crossing_density,
     crossing_fields,
     finite_size_energy_density,
     thermo_energy_density,
 )
+from xxchain.cli import run
 
 # max of n * |finite-size deviation| measured over n in {10..640}, b in {0, 0.3,
 # 0.5, 0.7} is 0.363; pinned with headroom as a regression bound
@@ -138,11 +139,13 @@ def test_crossing_gaps_shrink_like_one_over_n():
         assert max_gap(2 * n) < 0.7 * max_gap(n)
 
 
-def test_convergence_report_rows():
-    rows = convergence_report(0.3, [10, 50, 200])
-    assert [row.n for row in rows] == [10, 50, 200]
+def test_convergence_report_rows(capsys):
+    assert run(["thermo-limit", "--sizes", "10", "50", "200", "--b", "0.3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["n"] for row in rows] == [10, 50, 200]
     for row in rows:
-        assert row.b == 0.3
-        assert row.limit_value == pytest.approx(thermo_energy_density(0.3), abs=0)
-        assert row.deviation == pytest.approx(abs(row.energy_density - row.limit_value), abs=0)
-    assert rows[0].deviation > rows[1].deviation > rows[2].deviation
+        assert row["b"] == 0.3
+        assert row["energy_density"] == finite_size_energy_density(row["n"], 0.3)
+        assert row["limit"] == pytest.approx(thermo_energy_density(0.3), abs=0)
+        assert row["deviation"] == pytest.approx(abs(row["energy_density"] - row["limit"]), abs=0)
+    assert rows[0]["deviation"] > rows[1]["deviation"] > rows[2]["deviation"]

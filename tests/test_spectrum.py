@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from xxchain import (
     ChainParams,
-    OccupationState,
     SizeLimitError,
     crossing_fields,
     enumerate_levels,
@@ -38,6 +37,8 @@ def test_chain_params_validation():
         ChainParams(n=4, j=0.0)
     with pytest.raises(ValueError):
         ChainParams(n=2.5)
+    with pytest.raises(ValueError):
+        ChainParams(n=10**400)  # beyond the float range, so n*b overflows
 
 
 @pytest.mark.parametrize("b", [-1.0, 0.0, 0.37])
@@ -68,6 +69,28 @@ def test_chain_params_rejects_non_finite(j, b):
         ChainParams(n=2, j=j, b=b)
 
 
+@given(
+    n=st.integers(1, 20),
+    big=st.floats(min_value=1e300, max_value=1.7e308),
+    sign=st.sampled_from([-1.0, 1.0]),
+    on_field=st.booleans(),
+)
+def test_chain_params_rejects_overflowing_energies(n, big, sign, on_field):
+    j, b = (1.0, sign * big) if on_field else (big, sign * 0.5)
+    if not math.isfinite(n * (3 * abs(b) + 2 * j)):
+        with pytest.raises(ValueError):
+            ChainParams(n=n, j=j, b=b)
+        return
+    params = ChainParams(n=n, j=j, b=b)
+    lam = mode_energies(params).lambdas
+    # the extreme levels: no mode, every negative mode, every positive mode, every mode
+    negative = sum(1 << k for k in range(n) if lam[k] < 0)
+    values = np.array([0, negative, (1 << n) - 1 - negative, (1 << n) - 1], dtype=np.int64)
+    assert np.all(np.isfinite(lam))
+    assert np.all(np.isfinite(energies_for_occupation_values(params, values)))
+    assert math.isfinite(ground_energy(params, 0)) and math.isfinite(ground_energy(params, n))
+
+
 @given(n=st.integers(1, 40), b=fields, j=couplings)
 def test_particle_hole_symmetry(n, b, j):
     plus = mode_energies(ChainParams(n=n, j=j, b=b)).lambdas
@@ -93,9 +116,8 @@ def test_eigenenergy_single_flip_two_sites_field_free(b):
 def test_eigenenergy_equals_occupied_mode_sum(n, b, j, data):
     value = data.draw(st.integers(0, 2**n - 1))
     params = ChainParams(n=n, j=j, b=b)
-    occ = OccupationState.from_int(value, n)
     lam = mode_energies(params).lambdas
-    expected = sum(lam[k] for k in range(n) if occ.bits[k]) - n * b
+    expected = sum(lam[k] for k in range(n) if (value >> k) & 1) - n * b
     assert eigenenergy(params, value) == pytest.approx(expected, abs=1e-10)
 
 
@@ -150,7 +172,7 @@ def test_ground_energy_sector_range():
 @pytest.mark.parametrize("b", [-1.1, -0.42, 0.17, 0.65, 1.4])
 def test_ground_energy_is_spectrum_minimum_away_from_crossings(b):
     params = ChainParams(n=6, b=b)
-    lowest = min(level.energy for level in enumerate_levels(params))
+    lowest = float(enumerate_levels(params).min())
     assert ground_energy(params, ground_sector(params)) == pytest.approx(lowest, abs=1e-10)
 
 
@@ -164,20 +186,21 @@ def test_adjacent_sectors_degenerate_at_crossing_fields():
 
 
 def test_enumerate_levels_single_site():
-    levels = list(enumerate_levels(ChainParams(n=1, b=0.3)))
-    assert [level.occupation.to_int() for level in levels] == [0, 1]
-    assert [level.energy for level in levels] == pytest.approx([-0.3, 0.3], abs=1e-14)
+    energies = enumerate_levels(ChainParams(n=1, b=0.3))
+    assert energies.tolist() == pytest.approx([-0.3, 0.3], abs=1e-14)
 
 
 def test_enumerate_levels_two_sites_zero_field():
-    energies = [level.energy for level in enumerate_levels(ChainParams(n=2, b=0.0))]
+    energies = enumerate_levels(ChainParams(n=2, b=0.0)).tolist()
     assert energies == pytest.approx([0.0, -1.0, 1.0, 0.0], abs=1e-12)
 
 
 def test_enumerate_levels_count_and_order():
-    levels = list(enumerate_levels(ChainParams(n=4, b=0.2)))
-    assert len(levels) == 16
-    assert [level.occupation.to_int() for level in levels] == list(range(16))
+    params = ChainParams(n=4, b=0.2)
+    energies = enumerate_levels(params)
+    assert energies.shape == (16,)
+    assert not energies.flags.writeable
+    assert energies.tolist() == pytest.approx([eigenenergy(params, value) for value in range(16)], abs=1e-12)
 
 
 def test_enumerate_levels_cap_is_checked_eagerly():
@@ -189,9 +212,10 @@ def test_enumerate_levels_cap_is_checked_eagerly():
 
 def test_same_sector_levels_share_field_slope():
     n, b1, b2 = 5, 0.2, 0.9
-    for low, high in zip(enumerate_levels(ChainParams(n=n, b=b1)), enumerate_levels(ChainParams(n=n, b=b2))):
-        m = low.occupation.m
-        slope = (high.energy - low.energy) / (b2 - b1)
+    lows, highs = enumerate_levels(ChainParams(n=n, b=b1)), enumerate_levels(ChainParams(n=n, b=b2))
+    for value, (low, high) in enumerate(zip(lows, highs)):
+        m = bin(value).count("1")
+        slope = (high - low) / (b2 - b1)
         assert slope == pytest.approx(-(n - 2 * m), abs=1e-9)
 
 
@@ -217,7 +241,7 @@ def test_partition_function_two_sites_value():
 @pytest.mark.parametrize("beta,b", [(0.0, 0.5), (0.7, -0.4), (2.3, 0.31)])
 def test_partition_function_matches_level_sum(n, beta, b):
     params = ChainParams(n=n, b=b)
-    direct = sum(math.exp(-beta * level.energy) for level in enumerate_levels(params))
+    direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(params).tolist())
     assert partition_function(params, beta) == pytest.approx(direct, rel=1e-12)
 
 
@@ -238,5 +262,5 @@ def test_negative_beta_rejected():
 @given(n=st.integers(1, 8), b=fields, j=couplings, beta=st.floats(0, 5))
 def test_partition_function_property_sum(n, b, j, beta):
     params = ChainParams(n=n, j=j, b=b)
-    direct = sum(math.exp(-beta * level.energy) for level in enumerate_levels(params))
+    direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(params).tolist())
     assert partition_function(params, beta) == pytest.approx(direct, rel=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xxchain.states
 from xxchain import (
     ChainParams,
     DensityMatrix,
@@ -224,6 +225,12 @@ def test_crossing_mixture_arguments():
         crossing_mixture(4, -1)
     with pytest.raises(SizeLimitError):
         crossing_mixture(11, 0)
+
+
+def test_crossing_mixture_cap_reaches_the_ground_states(monkeypatch):
+    # an explicit cap overrides the eigenstate cap too, not only the dense one
+    monkeypatch.setattr(xxchain.states, "STATE_CAP", 3)
+    assert purity_dense(crossing_mixture(4, 1, cap=4)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_cold_thermal_state_converges_to_crossing_mixture():

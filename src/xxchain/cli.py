@@ -4,7 +4,7 @@ Subcommands: spectrum, ground-state, crossings, thermal, purity,
 purity-derivative, negativity, thermo-limit, validate.  Grids are inclusive
 linear ranges given as min:max:steps; temperatures use k_B = 1 and --t 0 maps
 to the zero-temperature closed forms.  Exit codes: 0 success, 1 usage error,
-2 numerical/size/I-O error.
+2 numerical/size/I-O error or out of memory.
 """
 
 from __future__ import annotations
@@ -485,6 +485,9 @@ def run(argv=None) -> int:
         return 1
     except (SizeLimitError, NumericalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

@@ -35,12 +35,15 @@ def build_hamiltonian(params: ChainParams, cap: int | None = None) -> DenseHamil
     check_cap(params.n, ORACLE_CAP if cap is None else cap, "dense Hamiltonian")
     n, j, b = params.n, params.j, params.b
     dim = 1 << n
+    states = np.arange(dim, dtype=np.int64)
+    flipped = np.zeros(dim, dtype=np.int64)
+    for i in range(n):
+        flipped += (states >> i) & 1
     h = np.zeros((dim, dim))
-    for state in range(dim):
-        h[state, state] = -b * (n - 2 * state.bit_count())
-        for i in range(n - 1):
-            if ((state >> i) ^ (state >> (i + 1))) & 1:
-                h[state ^ (0b11 << i), state] = -j
+    h[states, states] = -b * (n - 2 * flipped)
+    for i in range(n - 1):
+        anti_aligned = states[((states >> i) ^ (states >> (i + 1))) & 1 == 1]
+        h[anti_aligned ^ (0b11 << i), anti_aligned] = -j
     return DenseHamiltonian(dim, h)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .params import ENUMERATION_CAP, ChainParams, check_cap
 
 _CHUNK = 1 << 14
+DEGENERACY_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,17 +65,28 @@ def crossing_fields(n: int, j: float = 1.0) -> CrossingSet:
     return CrossingSet(j * np.cos(np.pi * k / (n + 1)))
 
 
+def mode_signs(params: ChainParams) -> np.ndarray:
+    """Sign -1, 0 or +1 of each mode energy, with |lam_k| <= DEGENERACY_ATOL read as 0.
+
+    This is the one degeneracy rule: a zero mode may be empty or occupied at
+    no cost, so the ground state is degenerate exactly where a sign is 0.
+    """
+    lam = mode_energies(params).lambdas
+    return np.where(np.abs(lam) <= DEGENERACY_ATOL, 0, np.sign(lam)).astype(np.int64)
+
+
 def ground_sector(params: ChainParams) -> int | tuple[int, int]:
     """Number of negative-energy modes, i.e. flipped spins in the ground state.
 
-    At a field exactly equal to a crossing value the two adjacent sectors are
-    degenerate and the pair ``(k, k + 1)`` is returned instead of tie-breaking.
+    At a field on a crossing value (a zero mode, see :func:`mode_signs`) the
+    two adjacent sectors are degenerate and the pair ``(k, k + 1)`` is
+    returned instead of tie-breaking.
     """
-    fields = crossing_fields(params.n, params.j).fields_b
-    above = int(np.count_nonzero(fields > params.b))
-    if np.count_nonzero(fields == params.b):
-        return (above, above + 1)
-    return above
+    signs = mode_signs(params)
+    below = int(np.count_nonzero(signs < 0))
+    if np.any(signs == 0):
+        return (below, below + 1)
+    return below
 
 
 def ground_energy(params: ChainParams, k: int) -> float:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .params import ENUMERATION_CAP, ChainParams, check_cap, resolve_dense_cap
-from .spectrum import energies_for_occupation_values, mode_energies
+from .spectrum import DEGENERACY_ATOL, energies_for_occupation_values, mode_energies, mode_signs
 from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices
-
-_DEGENERACY_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,23 +34,45 @@ class ThermalEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Dense Hermitian matrix in the spin basis (bit l-1 of the index = site l flipped)."""
+    """Hermitian matrix in the spin basis (bit l-1 of the index = site l flipped), stored as blocks.
+
+    ``blocks`` holds ``(indices, block)`` pairs: ``block[r, c]`` is the entry at
+    spin-basis row ``indices[r]`` and column ``indices[c]``; the index sets are
+    disjoint and every other entry is zero.
+    """
 
     dim: int
-    entries: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        for indices, block in self.blocks:
+            indices.setflags(write=False)
+            block.setflags(write=False)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The full dim x dim matrix (read-only), built from the blocks on first access."""
+        full = np.zeros((self.dim, self.dim))
+        for indices, block in self.blocks:
+            full[np.ix_(indices, indices)] = block
+        full.setflags(write=False)
+        return full
+
+    @classmethod
+    def from_matrix(cls, entries: np.ndarray) -> "DensityMatrix":
+        """One block over all spin-basis indices."""
+        entries = np.array(entries, dtype=float)
+        return cls(entries.shape[0], ((np.arange(entries.shape[0]), entries),))
 
     @classmethod
     def from_state(cls, vector: np.ndarray) -> "DensityMatrix":
         vector = np.asarray(vector, dtype=float)
-        return cls(vector.size, np.outer(vector, vector))
+        return cls.from_matrix(np.outer(vector, vector))
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
         dim = 1 << n
-        return cls(dim, np.eye(dim) / dim)
+        return cls.from_matrix(np.eye(dim) / dim)
 
 
 def label_energies(params: ChainParams) -> np.ndarray:
@@ -70,13 +91,16 @@ def boltzmann_weights(params: ChainParams, beta: float, cap: int | None = None) 
         probs = np.full(1 << n, 0.5**n)
         log_z = n * math.log(2.0)
     elif math.isinf(beta):
-        energies = label_energies(params)
-        lowest = energies.min()
-        mask = energies <= lowest + _DEGENERACY_ATOL
+        # ground states: every negative mode occupied, every positive one empty
+        signs = mode_signs(params)
+        bits = np.int64(1) << np.arange(n, dtype=np.int64)
+        free = int(np.sum(bits[signs == 0]))
+        mask = (label_occupations(n) & ~free) == int(np.sum(bits[signs < 0]))
         probs = mask / np.count_nonzero(mask)
-        if lowest < -_DEGENERACY_ATOL:
+        lowest = label_energies(params).min()
+        if lowest < -DEGENERACY_ATOL:
             log_z = math.inf
-        elif lowest > _DEGENERACY_ATOL:
+        elif lowest > DEGENERACY_ATOL:
             log_z = -math.inf
         else:
             log_z = math.log(np.count_nonzero(mask))
@@ -91,21 +115,19 @@ def boltzmann_weights(params: ChainParams, beta: float, cap: int | None = None) 
 
 
 def thermal_density_matrix(params: ChainParams, beta: float, cap: int | None = None) -> DensityMatrix:
-    """Dense Gibbs state, assembled sector by sector (it is block diagonal in m)."""
+    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n."""
     n = params.n
     check_cap(n, resolve_dense_cap(cap), "dense thermal state")
     ensemble = boltzmann_weights(params, beta)
-    rho = np.zeros((1 << n, 1 << n))
+    blocks = []
     offset = 0
     for m in range(n + 1):
         count = math.comb(n, m)
         weights = ensemble.probabilities[offset : offset + count]
         vectors = sector_amplitude_matrix(n, m)
-        block = (vectors * weights[:, None]).T @ vectors
-        indices = sector_basis_indices(n, m)
-        rho[np.ix_(indices, indices)] = block
+        blocks.append((sector_basis_indices(n, m), (vectors * weights[:, None]).T @ vectors))
         offset += count
-    return DensityMatrix(1 << n, rho)
+    return DensityMatrix(1 << n, tuple(blocks))
 
 
 def purity_analytic(params: ChainParams, beta: float) -> float:
@@ -113,13 +135,13 @@ def purity_analytic(params: ChainParams, beta: float) -> float:
 
     O(n) and overflow-free (the factor is evaluated as 1 - sech^2(x/2)/2 with
     decaying exponentials only).  beta = math.inf returns the limit: each
-    exactly-zero mode contributes 1/2, every other mode 1.
+    zero mode (see :func:`mode_signs`) contributes 1/2, every other mode 1.
     """
     if beta < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
-    lam = mode_energies(params).lambdas
     if math.isinf(beta):
-        return float(np.prod(np.where(lam == 0.0, 0.5, 1.0)))
+        return float(np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0)))
+    lam = mode_energies(params).lambdas
     x = np.abs(beta * lam)
     decay = np.exp(-x)
     sech_sq_half = 4.0 * decay / (1.0 + decay) ** 2
@@ -127,8 +149,18 @@ def purity_analytic(params: ChainParams, beta: float) -> float:
 
 
 def purity_dense(rho: DensityMatrix) -> float:
-    """Tr(rho^2) by direct contraction of the dense matrix."""
-    return float(np.einsum("ij,ji->", rho.entries, rho.entries))
+    """Tr(rho^2) = sum_ij rho_ij rho_ji, contracted block by block.
+
+    The order is that of a full-matrix contraction, so the value does not
+    depend on how the state is blocked: each spin-basis row is summed over
+    ascending columns, then the row sums over ascending rows.  ``np.cumsum``
+    adds sequentially (``np.sum`` would add pairwise and move the last bits).
+    """
+    row_sums = np.zeros(rho.dim)
+    for indices, block in rho.blocks:
+        products = (block * block.T)[:, np.argsort(indices)]
+        row_sums[indices] = np.cumsum(products, axis=1, out=products)[:, -1]
+    return float(np.cumsum(row_sums)[-1])
 
 
 def crossing_mixture(n: int, k: int, cap: int | None = None) -> DensityMatrix:
@@ -141,6 +173,8 @@ def crossing_mixture(n: int, k: int, cap: int | None = None) -> DensityMatrix:
         raise ValueError(f"need 0 <= k <= n - 1 = {n - 1}, got {k}")
     limit = resolve_dense_cap(cap)
     check_cap(n, limit, "crossing mixture")
-    lower = ground_state(n, k, limit).to_dense()
-    upper = ground_state(n, k + 1, limit).to_dense()
-    return DensityMatrix(1 << n, 0.5 * (np.outer(lower, lower) + np.outer(upper, upper)))
+    blocks = []
+    for sector in (k, k + 1):
+        amplitudes = ground_state(n, sector, limit).amplitudes
+        blocks.append((sector_basis_indices(n, sector), 0.5 * np.outer(amplitudes, amplitudes)))
+    return DensityMatrix(1 << n, tuple(blocks))

@@ -111,6 +111,17 @@ def test_size_error_exit_code(capsys):
     assert "n <= 20" in capsys.readouterr().err
 
 
+def test_memory_error_exit_code(monkeypatch):
+    def exhausted(params):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr("xxchain.limits.ground_sector", exhausted)
+    code, out, err = run_captured(["thermo-limit", "--sizes", "100000000000", "--b", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 745. GiB\n"
+
+
 def test_spectrum_rows(capsys):
     assert run(["spectrum", "--n", "3", "--b", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -49,7 +49,7 @@ def test_partial_transpose_is_hermitian_and_trace_preserving():
 def test_partial_transpose_product_state_spectrum_unchanged():
     a = np.array([[0.7, 0.1], [0.1, 0.3]])
     b = np.array([[0.6, -0.2], [-0.2, 0.4]])
-    rho = DensityMatrix(4, np.kron(b, a))  # site 1 varies fastest
+    rho = DensityMatrix.from_matrix(np.kron(b, a))  # site 1 varies fastest
     pt = partial_transpose(rho, SPLIT_11)
     assert np.linalg.eigvalsh(pt) == pytest.approx(np.linalg.eigvalsh(rho.entries), abs=1e-12)
 

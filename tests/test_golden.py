@@ -22,6 +22,7 @@ CASES = {
     "thermal_n2.csv": ["thermal", "--n", "2", "--b-range", "-0.4:0.4:2", "--t-range", "0:1:2"],
     "purity_n4.csv": ["purity", "--n", "4", "--b-range", "-1:1:3", "--t-range", "0:2:3"],
     "purity_n4.json": ["purity", "--n", "4", "--b-range", "-1:1:3", "--t-range", "0:2:3", "--format", "json"],
+    "purity_n6.json": ["purity", "--n", "6", "--b-range", "-1:1:3", "--t-range", "0:2:3", "--format", "json"],
     "purity_derivative_n3.csv": ["purity-derivative", "--n", "3", "--b-range", "-0.5:0.5:3", "--t-range", "0.5:1:2"],
     "negativity_n2.csv": ["negativity", "--n", "2", "--b-range", "0:0.5:2", "--t-range", "0.5:1.5:3"],
     "negativity_n4.csv": ["negativity", "--n", "4", "--b", "0.2", "--t-range", "0.2:1:3"],

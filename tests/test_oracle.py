@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxchain import (
     ChainParams,
@@ -87,3 +89,22 @@ def test_oracle_cap():
         build_hamiltonian(ChainParams(n=13))
     with pytest.raises(SizeLimitError):
         build_hamiltonian(ChainParams(n=5), cap=4)
+
+
+def looped_hamiltonian(n, j, b):
+    """The Pauli-form Hamiltonian built one spin-basis state at a time."""
+    dim = 1 << n
+    h = np.zeros((dim, dim))
+    for state in range(dim):
+        h[state, state] = -b * (n - 2 * state.bit_count())
+        for i in range(n - 1):
+            if ((state >> i) ^ (state >> (i + 1))) & 1:
+                h[state ^ (0b11 << i), state] = -j
+    return h
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), j=st.floats(1e-3, 1e3), b=st.floats(-1e3, 1e3))
+def test_build_hamiltonian_matches_state_by_state_loop(n, j, b):
+    built = build_hamiltonian(ChainParams(n=n, j=j, b=b)).entries
+    assert np.array_equal(built, looped_hamiltonian(n, j, b))

@@ -14,6 +14,7 @@ from xxchain import (
     build_hamiltonian,
     crossing_fields,
     crossing_mixture,
+    ground_sector,
     ground_state,
     label_energies,
     purity_analytic,
@@ -25,6 +26,22 @@ from xxchain import (
 
 def crossing_field(n, index):
     return float(crossing_fields(n).fields_b[index])
+
+
+def scattered_gibbs_state(params, beta):
+    """The Gibbs state scattered sector by sector into one dense matrix."""
+    n = params.n
+    probabilities = boltzmann_weights(params, beta).probabilities
+    rho = np.zeros((1 << n, 1 << n))
+    offset = 0
+    for m in range(n + 1):
+        count = math.comb(n, m)
+        weights = probabilities[offset : offset + count]
+        vectors = xxchain.states.sector_amplitude_matrix(n, m)
+        indices = xxchain.states.sector_basis_indices(n, m)
+        rho[np.ix_(indices, indices)] = (vectors * weights[:, None]).T @ vectors
+        offset += count
+    return rho
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -252,3 +269,45 @@ def test_dense_cap_checked_and_overridable():
         thermal_density_matrix(ChainParams(n=11), 1.0)
     rho = thermal_density_matrix(ChainParams(n=11, b=0.2), 1.0, cap=11)
     assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    b=st.floats(-2, 2),
+    beta=st.one_of(st.just(0.0), st.floats(1e-3, 50), st.just(math.inf)),
+)
+def test_blocked_gibbs_state_matches_full_contraction(n, b, beta):
+    params = ChainParams(n=n, b=b)
+    rho = thermal_density_matrix(params, beta)
+    full = rho.entries
+    assert not full.flags.writeable
+    assert np.array_equal(full, scattered_gibbs_state(params, beta))
+    assert purity_dense(rho) == float(np.einsum("ij,ji->", full, full))
+
+
+def test_blocked_gibbs_state_holds_one_block_per_sector():
+    n = 5
+    rho = thermal_density_matrix(ChainParams(n=n, b=0.2), 1.3)
+    assert [indices.size for indices, _ in rho.blocks] == [math.comb(n, m) for m in range(n + 1)]
+    assert rho.entries is rho.entries
+
+
+def test_blocks_and_full_matrix_of_other_states_agree():
+    vector = np.linspace(-1.0, 1.0, 8) / np.linalg.norm(np.linspace(-1.0, 1.0, 8))
+    for rho in (DensityMatrix.from_state(vector), DensityMatrix.maximally_mixed(3), crossing_mixture(5, 2)):
+        assert purity_dense(rho) == float(np.einsum("ij,ji->", rho.entries, rho.entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 10),
+    offset=st.one_of(st.just(0.0), st.floats(-1e-13, 1e-13)),
+)
+def test_zero_temperature_degeneracy_rule_is_shared(data, n, offset):
+    index = data.draw(st.integers(0, n - 1), label="crossing index")
+    params = ChainParams(n=n, b=crossing_field(n, index) + offset)
+    dense = purity_dense(thermal_density_matrix(params, math.inf))
+    assert abs(purity_analytic(params, math.inf) - dense) <= 1e-12
+    assert ground_sector(params) == (index, index + 1)

@@ -18,7 +18,7 @@ from .limits import (
     thermo_energy_density,
 )
 from .oracle import DenseHamiltonian, build_hamiltonian, diagonalize
-from .params import ChainParams, NumericalError, SizeLimitError, resolve_dense_cap
+from .params import ChainParams, NumericalError, SizeLimitError
 from .spectrum import (
     CrossingSet,
     ModeSpectrum,
@@ -83,7 +83,6 @@ __all__ = [
     "partial_transpose",
     "purity_analytic",
     "purity_dense",
-    "resolve_dense_cap",
     "sector_index_to_label",
     "thermal_density_matrix",
     "thermo_energy_density",

@@ -23,7 +23,7 @@ import numpy as np
 from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativity
 from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
-from .params import ChainParams, NumericalError, SizeLimitError, resolve_dense_cap
+from .params import MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
 from .spectrum import (
     crossing_fields,
     enumerate_levels,
@@ -117,12 +117,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _parse_dense_cap(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= MATRIX_CAP:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MATRIX_CAP}, got {text!r}")
+    return value
+
+
 def _parse_site_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad site list {text!r}: {exc}") from exc
 
+
+# largest n at which purity and negativity build the dense Gibbs state; --dense-cap overrides it
+DENSE_CHECK_CAP = 10
 
 # option group -> its arguments as (flags, add_argument keywords); the dest of
 # each argument is a RunConfig field
@@ -143,8 +153,9 @@ _OPTION_GROUPS = {
     "sizes": [(("--sizes",), {"type": _positive_int, "nargs": "+", "default": [50]})],
     "split-a": [(("--split-a",), {"type": _parse_site_list, "default": None, "metavar": "SITES",
                                   "help": "comma-separated sites of side A (default: first half)"})],
-    "dense-cap": [(("--dense-cap",), {"type": int, "default": None,
-                                      "help": "override the dense cross-check cap (default 10 or XXCHAIN_DENSE_CAP)"})],
+    "dense-cap": [(("--dense-cap",), {"type": _parse_dense_cap, "default": None, "metavar": "N",
+                                      "help": f"largest n for the dense cross-check, 0..{MATRIX_CAP} "
+                                              f"(default {DENSE_CHECK_CAP})"})],
     "output": [
         (("--format",), {"choices": ("csv", "json"), "default": "csv"}),
         (("--output", "-o"), {"default": None, "help": "output path (default: stdout)"}),
@@ -162,6 +173,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         coldest = args.t if args.t is not None else args.t_range.min
         if coldest < 0:
             raise UsageError(f"temperatures must be >= 0, got {coldest}")
+    if "k" in options and not 0 <= args.k <= args.n:
+        raise UsageError(f"--k must be in 0..{args.n}, got {args.k}")
     values = vars(args)
     if "sizes" in values:
         values["sizes"] = tuple(values["sizes"])
@@ -177,6 +190,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _field_grid(config: RunConfig) -> list[float]:
     return [config.b] if config.b is not None else [float(v) for v in config.b_range.grid()]
+
+
+def _dense_check_cap(config: RunConfig) -> int:
+    return DENSE_CHECK_CAP if config.dense_cap is None else config.dense_cap
 
 
 def _points(config: RunConfig):
@@ -233,11 +250,11 @@ def _rows_thermal(config: RunConfig):
 
 
 def _rows_purity(config: RunConfig):
-    cap = resolve_dense_cap(config.dense_cap)
+    dense = config.n <= _dense_check_cap(config)
     rows = [
         {"n": config.n, "b": b, "t": t, "beta": beta,
          "purity_analytic": purity_analytic(params, beta),
-         "purity_dense": purity_dense(thermal_density_matrix(params, beta, cap)) if config.n <= cap else None}
+         "purity_dense": purity_dense(thermal_density_matrix(params, beta)) if dense else None}
         for b, t, beta, params in _points(config)
     ]
     return rows, {}
@@ -259,10 +276,10 @@ def _rows_negativity(config: RunConfig):
         split = BipartiteSplit.of(config.n, sites_a)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cap = resolve_dense_cap(config.dense_cap)
+    check_cap(config.n, _dense_check_cap(config), "dense thermal state")
     rows = []
     for b, t, beta, params in _points(config):
-        value = negativity(thermal_density_matrix(params, beta, cap), split, cap)
+        value = negativity(thermal_density_matrix(params, beta), split)
         rows.append({"n": config.n, "b": b, "t": t, "split": str(split),
                      "negativity": value, "separable": bool(value <= PPT_ATOL)})
     extra = {}

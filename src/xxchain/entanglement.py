@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ChainParams, NumericalError, check_cap, resolve_dense_cap
+from .params import ChainParams, NumericalError
 from .thermal import DensityMatrix, label_energies
 
 PPT_ATOL = 1e-12
@@ -43,12 +43,11 @@ class BipartiteSplit:
         return ",".join(map(str, self.sites_a)) + "|" + ",".join(map(str, self.sites_b))
 
 
-def partial_transpose(rho: DensityMatrix, split: BipartiteSplit, cap: int | None = None) -> np.ndarray:
+def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
     """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving."""
     n = split.n
     if rho.dim != 1 << n:
         raise ValueError(f"matrix dimension {rho.dim} does not match a {n}-site split")
-    check_cap(n, resolve_dense_cap(cap), "partial transpose")
     tensor = rho.entries.reshape((2,) * (2 * n))
     axes = list(range(2 * n))
     for site in split.sites_b:
@@ -57,9 +56,9 @@ def partial_transpose(rho: DensityMatrix, split: BipartiteSplit, cap: int | None
     return np.ascontiguousarray(tensor.transpose(axes).reshape(rho.dim, rho.dim))
 
 
-def negativity(rho: DensityMatrix, split: BipartiteSplit, cap: int | None = None) -> float:
+def negativity(rho: DensityMatrix, split: BipartiteSplit) -> float:
     """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT."""
-    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, split, cap))
+    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, split))
     return float(np.abs(eigenvalues[eigenvalues < 0]).sum())
 
 

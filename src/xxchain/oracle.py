@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ORACLE_CAP, ChainParams, NumericalError, check_cap
+from .params import MATRIX_CAP, ChainParams, NumericalError, check_cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,13 +26,13 @@ class DenseHamiltonian:
         self.entries.setflags(write=False)
 
 
-def build_hamiltonian(params: ChainParams, cap: int | None = None) -> DenseHamiltonian:
+def build_hamiltonian(params: ChainParams) -> DenseHamiltonian:
     """-sum_i (j/2)(x_i x_{i+1} + y_i y_{i+1}) - b sum_i z_i, open boundaries.
 
     The hop places -j between |..up,down..> and |..down,up..| on adjacent
     sites; the field term is diagonal, -b * (n - 2 * flipped).
     """
-    check_cap(params.n, ORACLE_CAP if cap is None else cap, "dense Hamiltonian")
+    check_cap(params.n, MATRIX_CAP, "dense Hamiltonian")
     n, j, b = params.n, params.j, params.b
     dim = 1 << n
     states = np.arange(dim, dtype=np.int64)

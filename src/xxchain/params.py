@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
-# Caps on exponential-cost operations.  Everything is O(2^n) memory or worse
-# past these points; the dense cap can be raised per call or via the
-# XXCHAIN_DENSE_CAP environment variable (12 is a sane upper bound on a laptop).
-ENUMERATION_CAP = 20
-DENSE_CAP = 10
-STATE_CAP = 12
-ORACLE_CAP = 12
-DENSE_CAP_ENV = "XXCHAIN_DENSE_CAP"
+# Fixed caps on exponential-cost work.  LEVEL_CAP bounds arrays of 2^n numbers
+# (energies, Boltzmann weights: 8 MiB at n = 20); MATRIX_CAP bounds 2^n x 2^n
+# work (Hamiltonian, eigenbasis, eigenstates, Gibbs states: 128 MiB at n = 12).
+# One byte budget cannot serve both, so there are two.
+LEVEL_CAP = 20
+MATRIX_CAP = 12
 
 
 class SizeLimitError(ValueError):
@@ -50,19 +47,6 @@ class ChainParams:
                              f"j = {self.j!r}, b = {self.b!r}")
 
 
-def resolve_dense_cap(override: int | None = None) -> int:
-    """Dense-matrix cap: explicit override, else XXCHAIN_DENSE_CAP, else DENSE_CAP."""
-    if override is not None:
-        return override
-    env = os.environ.get(DENSE_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {env!r}") from exc
-    return DENSE_CAP
-
-
-def check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise SizeLimitError(f"{what} needs n <= {cap}, got n = {n}")
+def check_cap(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise SizeLimitError(f"{what} needs n <= {limit}, got n = {n}")

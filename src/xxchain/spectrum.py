@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ENUMERATION_CAP, ChainParams, check_cap
+from .params import LEVEL_CAP, ChainParams, check_cap
 
 _CHUNK = 1 << 14
 DEGENERACY_ATOL = 1e-12
@@ -109,10 +109,9 @@ def energies_for_occupation_values(params: ChainParams, values: np.ndarray) -> n
     return out - params.n * params.b
 
 
-def enumerate_levels(params: ChainParams, cap: int | None = None) -> np.ndarray:
+def enumerate_levels(params: ChainParams) -> np.ndarray:
     """All 2^n level energies (read-only), entry v = occupation bitmask v (bit k-1 = mode k)."""
-    limit = ENUMERATION_CAP if cap is None else cap
-    check_cap(params.n, limit, "level enumeration")
+    check_cap(params.n, LEVEL_CAP, "level enumeration")
     energies = energies_for_occupation_values(params, np.arange(1 << params.n, dtype=np.int64))
     energies.setflags(write=False)
     return energies

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import STATE_CAP, check_cap
+from .params import MATRIX_CAP, check_cap
 
 
 @lru_cache(maxsize=None)
@@ -89,11 +89,11 @@ def _amplitudes_for_modes(n: int, modes: np.ndarray) -> np.ndarray:
     return (2.0 / (n + 1)) ** (m / 2.0) * np.linalg.det(blocks)
 
 
-def ground_state(n: int, k: int, cap: int | None = None) -> SpinBasisVector:
+def ground_state(n: int, k: int) -> SpinBasisVector:
     """Ground state of sector k: modes 1..k occupied."""
     if not 0 <= k <= n:
         raise ValueError(f"sector must satisfy 0 <= k <= {n}, got {k}")
-    check_cap(n, STATE_CAP if cap is None else cap, "eigenstate construction")
+    check_cap(n, MATRIX_CAP, "eigenstate construction")
     return SpinBasisVector(n, k, _amplitudes_for_modes(n, np.arange(1, k + 1, dtype=np.int64)))
 
 
@@ -113,9 +113,9 @@ def sector_amplitude_matrix(n: int, m: int) -> np.ndarray:
     return rows
 
 
-def eigenbasis_matrix(n: int, cap: int | None = None) -> np.ndarray:
+def eigenbasis_matrix(n: int) -> np.ndarray:
     """Dense 2^n x 2^n orthogonal matrix; column l-1 is the label-l eigenstate."""
-    check_cap(n, STATE_CAP if cap is None else cap, "dense eigenbasis")
+    check_cap(n, MATRIX_CAP, "dense eigenbasis")
     basis = np.zeros((1 << n, 1 << n))
     offset = 0
     for m in range(n + 1):

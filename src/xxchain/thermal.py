@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import ENUMERATION_CAP, ChainParams, check_cap, resolve_dense_cap
+from .params import LEVEL_CAP, MATRIX_CAP, ChainParams, check_cap
 from .spectrum import DEGENERACY_ATOL, energies_for_occupation_values, mode_energies, mode_signs
 from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices
 
@@ -80,9 +80,9 @@ def label_energies(params: ChainParams) -> np.ndarray:
     return energies_for_occupation_values(params, label_occupations(params.n))
 
 
-def boltzmann_weights(params: ChainParams, beta: float, cap: int | None = None) -> ThermalEnsemble:
+def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     """Normalized Boltzmann distribution p_l in label order, log-domain safe."""
-    check_cap(params.n, ENUMERATION_CAP if cap is None else cap, "Boltzmann weight table")
+    check_cap(params.n, LEVEL_CAP, "Boltzmann weight table")
     if beta < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
     n = params.n
@@ -114,10 +114,10 @@ def boltzmann_weights(params: ChainParams, beta: float, cap: int | None = None) 
     return ThermalEnsemble(params, beta, probs, float(log_z))
 
 
-def thermal_density_matrix(params: ChainParams, beta: float, cap: int | None = None) -> DensityMatrix:
+def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
     """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n."""
     n = params.n
-    check_cap(n, resolve_dense_cap(cap), "dense thermal state")
+    check_cap(n, MATRIX_CAP, "dense thermal state")
     ensemble = boltzmann_weights(params, beta)
     blocks = []
     offset = 0
@@ -163,7 +163,7 @@ def purity_dense(rho: DensityMatrix) -> float:
     return float(np.cumsum(row_sums)[-1])
 
 
-def crossing_mixture(n: int, k: int, cap: int | None = None) -> DensityMatrix:
+def crossing_mixture(n: int, k: int) -> DensityMatrix:
     """Equal mixture of the sector-k and sector-(k+1) ground states.
 
     This is the zero-temperature state at the field where those two sectors
@@ -171,10 +171,9 @@ def crossing_mixture(n: int, k: int, cap: int | None = None) -> DensityMatrix:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n - 1 = {n - 1}, got {k}")
-    limit = resolve_dense_cap(cap)
-    check_cap(n, limit, "crossing mixture")
+    check_cap(n, MATRIX_CAP, "crossing mixture")
     blocks = []
     for sector in (k, k + 1):
-        amplitudes = ground_state(n, sector, limit).amplitudes
+        amplitudes = ground_state(n, sector).amplitudes
         blocks.append((sector_basis_indices(n, sector), 0.5 * np.outer(amplitudes, amplitudes)))
     return DensityMatrix(1 << n, tuple(blocks))

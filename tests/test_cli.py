@@ -79,6 +79,9 @@ def test_non_finite_input_is_usage_error(flag, value):
     ["validate", "--n", "-3"],
     ["thermo-limit", "--sizes", "4", "0", "--b", "0"],
     ["spectrum", "--n", "2", "--b", "1e308"],
+    ["ground-state", "--n", "4", "--k", "5"],
+    ["purity", "--n", "3", "--b", "0", "--t", "1", "--dense-cap", "-1"],
+    ["purity", "--n", "3", "--b", "0", "--t", "1", "--dense-cap", "13"],
 ])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert run(argv) == 1
@@ -176,9 +179,8 @@ def test_purity_dense_blank_above_cap(capsys):
     assert line.endswith(",")
 
 
-def test_dense_cap_flag_and_env(capsys, monkeypatch):
-    monkeypatch.setenv("XXCHAIN_DENSE_CAP", "2")
-    assert run(["purity", "--n", "3", "--b", "0.4", "--t", "0.8"]) == 0
+def test_dense_cap_flag_and_env(capsys):
+    assert run(["purity", "--n", "3", "--b", "0.4", "--t", "0.8", "--dense-cap", "2"]) == 0
     assert capsys.readouterr().out.strip().split("\n")[1].endswith(",")
     assert run(["purity", "--n", "3", "--b", "0.4", "--t", "0.8", "--dense-cap", "3"]) == 0
     assert not capsys.readouterr().out.strip().split("\n")[1].endswith(",")

@@ -87,8 +87,6 @@ def test_diagonalize_residuals_within_contract():
 def test_oracle_cap():
     with pytest.raises(SizeLimitError):
         build_hamiltonian(ChainParams(n=13))
-    with pytest.raises(SizeLimitError):
-        build_hamiltonian(ChainParams(n=5), cap=4)
 
 
 def looped_hamiltonian(n, j, b):

@@ -206,8 +206,6 @@ def test_enumerate_levels_count_and_order():
 def test_enumerate_levels_cap_is_checked_eagerly():
     with pytest.raises(SizeLimitError):
         enumerate_levels(ChainParams(n=21))
-    with pytest.raises(SizeLimitError):
-        enumerate_levels(ChainParams(n=5), cap=4)
 
 
 def test_same_sector_levels_share_field_slope():

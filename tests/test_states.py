@@ -52,7 +52,7 @@ def test_sine_matrix_orthogonal(n):
 
 
 def test_sector_table_has_no_state_cap():
-    # the dense callers check the cap they are given, so --dense-cap 13 reaches this table
+    # the table is not capped: its dense callers check MATRIX_CAP, and n = 13 still builds here
     s = sector_amplitude_matrix(13, 1)
     assert s.shape == (13, 13)
     assert np.max(np.abs(s @ s.T - np.eye(13))) < 1e-10
@@ -113,8 +113,6 @@ def test_ground_state_three_flip_pattern_up_to_sign():
 def test_build_eigenstate_cap():
     with pytest.raises(SizeLimitError):
         ground_state(13, 0)
-    with pytest.raises(SizeLimitError):
-        ground_state(5, 2, cap=4)
     with pytest.raises(SizeLimitError):
         eigenbasis_matrix(13)
 

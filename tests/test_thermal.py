@@ -241,13 +241,12 @@ def test_crossing_mixture_arguments():
     with pytest.raises(ValueError):
         crossing_mixture(4, -1)
     with pytest.raises(SizeLimitError):
-        crossing_mixture(11, 0)
+        crossing_mixture(13, 0)
 
 
-def test_crossing_mixture_cap_reaches_the_ground_states(monkeypatch):
-    # an explicit cap overrides the eigenstate cap too, not only the dense one
-    monkeypatch.setattr(xxchain.states, "STATE_CAP", 3)
-    assert purity_dense(crossing_mixture(4, 1, cap=4)) == pytest.approx(0.5, abs=1e-14)
+def test_crossing_mixture_cap_reaches_the_ground_states():
+    # the mixture and its ground states share one cap, so the largest allowed n builds
+    assert purity_dense(crossing_mixture(12, 5)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_cold_thermal_state_converges_to_crossing_mixture():
@@ -266,8 +265,8 @@ def test_zero_temperature_thermal_state_equals_mixture_exactly():
 
 def test_dense_cap_checked_and_overridable():
     with pytest.raises(SizeLimitError):
-        thermal_density_matrix(ChainParams(n=11), 1.0)
-    rho = thermal_density_matrix(ChainParams(n=11, b=0.2), 1.0, cap=11)
+        thermal_density_matrix(ChainParams(n=13), 1.0)
+    rho = thermal_density_matrix(ChainParams(n=11, b=0.2), 1.0)
     assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-12)
 
 

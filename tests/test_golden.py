@@ -1,11 +1,21 @@
-"""Byte-for-byte CLI output against committed golden files.
+"""Byte-for-byte CLI output against committed golden files and digests.
 
 Each file under ``tests/golden/`` is the stdout of ``run(argv)`` for the argv
 listed next to it, captured once and kept unchanged so that any refactor of
 the library shows up here as a byte difference.  Regenerate a file only when
 an output change is intended, by writing ``run(argv)``'s stdout to it.
+
+``tests/golden/digests.json`` pins outputs too large to commit, at the sizes
+where chunk and block boundaries are crossed, by argv, byte count and SHA-256.
+``validate`` runs in a fresh interpreter with one BLAS thread: the last digit
+of its worst values depends on the thread count.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +23,9 @@ import pytest
 from xxchain.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DIGESTS = json.loads((GOLDEN_DIR / "digests.json").read_text())
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CASES = {
     "spectrum_n3.csv": ["spectrum", "--n", "3", "--b-range", "-1:1:3"],
@@ -38,3 +51,22 @@ def test_cli_output_matches_golden_file(name, capsys):
     assert run(CASES[name]) == 0
     expected = (GOLDEN_DIR / name).read_text()
     assert capsys.readouterr().out == expected
+
+
+def _stdout_in_fresh_process(argv):
+    env = {**os.environ, **ONE_BLAS_THREAD,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "xxchain.cli", *argv], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_cli_output_matches_digest(name, capsysbinary):
+    entry = DIGESTS[name]
+    if entry["argv"][0] == "validate":
+        data = _stdout_in_fresh_process(entry["argv"])
+    else:
+        assert run(entry["argv"]) == 0
+        data = capsysbinary.readouterr().out
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"], entry["sha256"])

@@ -10,27 +10,29 @@ to the zero-temperature closed forms.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativity
 from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
-from .params import MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
+from .params import LEVEL_CAP, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
 from .spectrum import (
+    _CHUNK,
     crossing_fields,
     enumerate_levels,
     ground_energy,
     log_partition_function,
 )
-from .states import eigenbasis_matrix, ground_state, label_to_sector_index
+from .states import bit_counts, eigenbasis_matrix, ground_state, label_occupations
 from .thermal import (
     boltzmann_weights,
     label_energies,
@@ -38,9 +40,6 @@ from .thermal import (
     purity_dense,
     thermal_density_matrix,
 )
-
-_DERIVATIVE_STEP = 1e-5
-
 
 class UsageError(Exception):
     pass
@@ -205,69 +204,54 @@ def _points(config: RunConfig):
             yield b, t, math.inf if t == 0 else 1.0 / t, params
 
 
-# --- row builders: each returns (rows, JSON meta extras) ------------------------
+# --- row builders: each yields column blocks, one per field or per point --------
+# A block maps a column to a numpy array (one entry per row) or to one value for every row.
 
 
 def _rows_spectrum(config: RunConfig):
-    fields = _field_grid(config)
-    energies = [enumerate_levels(ChainParams(n=config.n, j=config.j, b=b)) for b in fields]
-    # one set of occupation and m cells, shared by the rows of every field
-    cells = [(occupation, occupation.bit_count()) for occupation in range(1 << config.n)]
-    rows = [
-        {"n": config.n, "b": b, "occupation": occupation, "m": m, "energy": energy}
-        for b, levels in zip(fields, energies)
-        for (occupation, m), energy in zip(cells, levels.tolist())
-    ]
-    return rows, {}
+    check_cap(config.n, LEVEL_CAP, "level enumeration")
+    occupation = np.arange(1 << config.n, dtype=np.int64)
+    m = bit_counts(occupation, config.n)
+    for b in _field_grid(config):
+        yield {"n": config.n, "b": b, "occupation": occupation, "m": m,
+               "energy": enumerate_levels(ChainParams(n=config.n, j=config.j, b=b))}
 
 
 def _rows_ground_state(config: RunConfig):
     vector = ground_state(config.n, config.k)
-    rows = [
-        {"n": config.n, "k": config.k, "positions": list(combo), "amplitude": float(amp)}
-        for combo, amp in zip(vector.positions(), vector.amplitudes)
-    ]
-    return rows, {}
+    positions = np.array(list(vector.positions()), dtype=np.int64).reshape(vector.amplitudes.size, config.k)
+    yield {"n": config.n, "k": config.k, "positions": positions, "amplitude": vector.amplitudes}
 
 
 def _rows_crossings(config: RunConfig):
     fields = crossing_fields(config.n, config.j).fields_b
-    return [{"k": k + 1, "b_k": float(v)} for k, v in enumerate(fields)], {}
+    yield {"k": np.arange(1, fields.size + 1), "b_k": fields}
 
 
 def _rows_thermal(config: RunConfig):
-    sectors = [(label, *label_to_sector_index(label, config.n)) for label in range(1, (1 << config.n) + 1)]
-    rows = []
+    check_cap(config.n, LEVEL_CAP, "Boltzmann weight table")
+    m = bit_counts(label_occupations(config.n), config.n)
+    l = np.arange(1, m.size + 1)
+    r = l - np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])[m]  # l = r + sum_{s<m} C(n, s)
     for b, t, beta, params in _points(config):
-        energies = label_energies(params).tolist()
-        probabilities = boltzmann_weights(params, beta).probabilities.tolist()
-        rows.extend(
-            {"n": config.n, "b": b, "t": t, "beta": beta, "l": label, "r": r, "m": m,
-             "energy": energy, "probability": probability}
-            for (label, r, m), energy, probability in zip(sectors, energies, probabilities)
-        )
-    return rows, {}
+        yield {"n": config.n, "b": b, "t": t, "beta": beta, "l": l, "r": r, "m": m,
+               "energy": label_energies(params), "probability": boltzmann_weights(params, beta).probabilities}
 
 
 def _rows_purity(config: RunConfig):
     dense = config.n <= _dense_check_cap(config)
-    rows = [
-        {"n": config.n, "b": b, "t": t, "beta": beta,
-         "purity_analytic": purity_analytic(params, beta),
-         "purity_dense": purity_dense(thermal_density_matrix(params, beta)) if dense else None}
-        for b, t, beta, params in _points(config)
-    ]
-    return rows, {}
+    for b, t, beta, params in _points(config):
+        yield {"n": config.n, "b": b, "t": t, "beta": beta,
+               "purity_analytic": purity_analytic(params, beta),
+               "purity_dense": purity_dense(thermal_density_matrix(params, beta)) if dense else None}
 
 
 def _rows_purity_derivative(config: RunConfig):
-    h = _DERIVATIVE_STEP
-    rows = []
+    h = 1e-5  # centered-difference step in b
     for b, t, beta, _ in _points(config):
         upper = purity_analytic(ChainParams(n=config.n, j=config.j, b=b + h), beta)
         lower = purity_analytic(ChainParams(n=config.n, j=config.j, b=b - h), beta)
-        rows.append({"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": (upper - lower) / (2 * h)})
-    return rows, {}
+        yield {"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": (upper - lower) / (2 * h)}
 
 
 def _rows_negativity(config: RunConfig):
@@ -277,94 +261,67 @@ def _rows_negativity(config: RunConfig):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     check_cap(config.n, _dense_check_cap(config), "dense thermal state")
-    rows = []
     for b, t, beta, params in _points(config):
         value = negativity(thermal_density_matrix(params, beta), split)
-        rows.append({"n": config.n, "b": b, "t": t, "split": str(split),
-                     "negativity": value, "separable": bool(value <= PPT_ATOL)})
-    extra = {}
-    if config.n == 2:
-        params = ChainParams(n=2, j=config.j, b=_field_grid(config)[0])
-        extra["kt_c"] = critical_temperature_two_qubit(params)
-        print(f"kT_c = {extra['kt_c']:.6f}", file=sys.stderr)
-    return rows, extra
+        yield {"n": config.n, "b": b, "t": t, "split": str(split),
+               "negativity": value, "separable": bool(value <= PPT_ATOL)}
+
+
+def _meta_negativity(config: RunConfig) -> dict:
+    """The n = 2 critical temperature, also printed on stderr."""
+    if config.n != 2:
+        return {}
+    kt_c = critical_temperature_two_qubit(ChainParams(n=2, j=config.j, b=_field_grid(config)[0]))
+    print(f"kT_c = {kt_c:.6f}", file=sys.stderr)
+    return {"kt_c": kt_c}
 
 
 def _rows_thermo_limit(config: RunConfig):
-    rows = []
-    for n in config.sizes:
-        for b in _field_grid(config):
-            density = finite_size_energy_density(n, b, config.j)
-            limit_value = config.j * thermo_energy_density(b / config.j)
-            rows.append({
-                "n": n, "b": b,
-                "energy_density": density,
-                "limit": limit_value,
-                "deviation": abs(density - limit_value),
-            })
-    return rows, {}
-
-
-# --- oracle validation ----------------------------------------------------------
+    for n, b in itertools.product(config.sizes, _field_grid(config)):
+        density = finite_size_energy_density(n, b, config.j)
+        limit = config.j * thermo_energy_density(b / config.j)
+        yield {"n": n, "b": b, "energy_density": density, "limit": limit, "deviation": abs(density - limit)}
 
 
 def _rows_validate(config: RunConfig):
-    """One (name, worst, tolerance) row per cross-check of the closed forms."""
+    """One (name, worst, tolerance) per cross-check of the closed forms."""
     n, j = config.n, config.j
-    fields = [-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2]
-    checks: list[tuple[str, float, float]] = []
-
-    worst = 0.0
-    for b in fields:
-        params = ChainParams(n=n, j=j, b=b)
-        closed = np.sort(enumerate_levels(params))
-        dense = diagonalize(build_hamiltonian(params))[0]
-        worst = max(worst, float(np.max(np.abs(closed - dense))))
-    checks.append(("eigenvalue-multiset", worst, 1e-10))
+    chains = [ChainParams(n=n, j=j, b=b) for b in (-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2)]
+    yield "eigenvalue-multiset", max(
+        float(np.max(np.abs(np.sort(enumerate_levels(p)) - diagonalize(build_hamiltonian(p))[0]))) for p in chains
+    ), 1e-10
 
     basis = eigenbasis_matrix(n)
-    worst = 0.0
-    for b in fields:
-        params = ChainParams(n=n, j=j, b=b)
-        h = build_hamiltonian(params).entries
-        residual = h @ basis - basis * label_energies(params)[None, :]
-        worst = max(worst, float(np.max(np.abs(residual))))
-    checks.append(("eigenvector-residual", worst, 1e-8))
+    yield "eigenvector-residual", max(
+        float(np.max(np.abs(build_hamiltonian(p).entries @ basis - basis * label_energies(p)[None, :])))
+        for p in chains
+    ), 1e-8
 
-    worst = 0.0
-    for b in (-0.9, 0.31, 0.75):
-        params = ChainParams(n=n, j=j, b=b)
-        for t in (0.2, 0.9, 2.0):
-            beta = 1.0 / t
-            gap = purity_analytic(params, beta) - purity_dense(thermal_density_matrix(params, beta))
-            worst = max(worst, abs(gap))
-    checks.append(("purity-identity", worst, 1e-10))
+    yield "purity-identity", max(
+        abs(purity_analytic(p, 1.0 / t) - purity_dense(thermal_density_matrix(p, 1.0 / t)))
+        for p in [ChainParams(n=n, j=j, b=b) for b in (-0.9, 0.31, 0.75)] for t in (0.2, 0.9, 2.0)
+    ), 1e-10
 
-    worst = 0.0
-    for b in (-0.5, 0.31):
-        params = ChainParams(n=n, j=j, b=b)
-        for beta in (0.0, 0.7, 2.1):
-            direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(params).tolist())
-            log_z = log_partition_function(params, beta)
-            worst = max(worst, abs(math.exp(log_z) - direct) / direct)
-    checks.append(("partition-function", worst, 1e-12))
+    def partition_gap(p, beta):
+        direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(p).tolist())
+        return abs(math.exp(log_partition_function(p, beta)) - direct) / direct
 
-    worst = 0.0
-    for index, field_b in enumerate(crossing_fields(n, j).fields_b):
-        params = ChainParams(n=n, j=j, b=float(field_b))
-        gap = ground_energy(params, index) - ground_energy(params, index + 1)
-        worst = max(worst, abs(gap))
-    checks.append(("crossing-degeneracy", worst, 1e-12))
-    return checks, {}
+    yield "partition-function", max(
+        partition_gap(ChainParams(n=n, j=j, b=b), beta) for b in (-0.5, 0.31) for beta in (0.0, 0.7, 2.1)
+    ), 1e-12
+
+    crossings = [ChainParams(n=n, j=j, b=float(b)) for b in crossing_fields(n, j).fields_b]
+    yield "crossing-degeneracy", max(
+        abs(ground_energy(p, k) - ground_energy(p, k + 1)) for k, p in enumerate(crossings)
+    ), 1e-12
 
 
 def _write_report(checks, columns, config: RunConfig, extra_meta: dict) -> None:
+    checks = list(checks)  # every check runs before the report's first line
+    failures = sum(not value <= tolerance for _, value, tolerance in checks)
     print(f"validate n={config.n} j={config.j:g}")
-    failures = 0
     for name, value, tolerance in checks:
-        ok = value <= tolerance
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'} {name:<22} worst = {value:.3e} (tol {tolerance:.0e})")
+        print(f"{'PASS' if value <= tolerance else 'FAIL'} {name:<22} worst = {value:.3e} (tol {tolerance:.0e})")
     print(f"{len(checks) - failures} checks passed, {failures} failed")
     if failures:
         raise NumericalError(f"{failures} of {len(checks)} validation checks failed")
@@ -373,43 +330,90 @@ def _write_report(checks, columns, config: RunConfig, extra_meta: dict) -> None:
 # --- output -------------------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.9g" % value
-    if isinstance(value, (list, tuple)):
-        return ",".join(str(item) for item in value)
-    return str(value)
+def _chunks(blocks: Iterable[dict]) -> Iterator[tuple[dict, int, int]]:
+    """(block, start, count) for each run of at most _CHUNK rows of each block."""
+    for block in blocks:
+        size = max((len(value) for value in block.values() if isinstance(value, np.ndarray)), default=1)
+        for start in range(0, size, _CHUNK):
+            yield block, start, min(_CHUNK, size - start)
 
 
-def render_csv(rows: list[dict], fieldnames: list[str]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_csv_cell(row[name]) for name in fieldnames])
-    return buffer.getvalue()
+def _csv_cells(values: list) -> list[str]:
+    """One column's cells: '%.9g' floats, blank None, true/false, RFC-4180 quoting of the rest."""
+    first = values[0]
+    if isinstance(first, float):
+        return list(map("%.9g".__mod__, values))
+    if isinstance(first, bool):
+        return ["true" if value else "false" for value in values]
+    if isinstance(first, int):
+        return list(map(str, values))
+    texts = ["" if value is None else ",".join(map(str, value)) if isinstance(value, list) else str(value)
+             for value in values]
+    return ['"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text for text in texts]
 
 
-def render_json(rows: list[dict], meta: dict) -> str:
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:
+    """The header, then one string per chunk.
+
+    An array passed again as the same object at the same offset keeps its cells, so the integer
+    columns of spectrum and thermal are formatted once per run when a block fits in one chunk.
+    """
+    yield ",".join(columns) + "\n"
+    kept = {}  # column -> (array, start, cells) of the chunk that last formatted it
+    for block, start, count in _chunks(blocks):
+        cells = []
+        for name in columns:
+            value = block[name]
+            if not isinstance(value, np.ndarray):
+                cells.append(itertools.repeat(_csv_cells([value])[0], count))
+                continue
+            source, offset, text = kept.get(name, (None, None, None))
+            if source is not value or offset != start:
+                text = _csv_cells(value[start : start + count].tolist())
+                kept[name] = (value, start, text)
+            cells.append(text)
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def emit(rows: list[dict], fieldnames: list[str], config: RunConfig, extra_meta: dict | None = None) -> None:
+def _json_text(blocks: Iterable[dict], columns, meta: dict) -> Iterator[str]:
+    """json.dumps({"meta": meta, "rows": rows}, indent=2) and a newline, one string per chunk."""
+    head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
+    yield head + "["
+    separator = "\n    "
+    for block, start, count in _chunks(blocks):
+        values = [block[name][start : start + count].tolist() if isinstance(block[name], np.ndarray)
+                  else itertools.repeat(block[name], count) for name in columns]
+        rows = ",\n".join(json.dumps(dict(zip(columns, row)), indent=2) for row in zip(*values))
+        yield separator + rows.replace("\n", "\n    ")
+        separator = ",\n    "
+    yield ("]" if separator == "\n    " else "\n  ]") + tail + "\n"
+
+
+def _write_file(path: str, text: Iterable[str]) -> None:
+    """Write to a temporary file beside path, renamed onto it once complete (a device or pipe: in place)."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(target, "w", newline="") as handle:
+            handle.writelines(text)
+        if not in_place:
+            os.replace(target, path)
+    except BaseException:
+        if not in_place:
+            Path(target).unlink(missing_ok=True)
+        raise
+
+
+def emit(blocks: Iterable[dict], columns, config: RunConfig, extra_meta: dict | None = None) -> None:
+    """Stream column blocks as CSV or JSON to stdout, or to --output once complete."""
     if config.format == "json":
-        meta = asdict(config)
-        meta.update(extra_meta or {})
-        text = render_json(rows, meta)
+        text = _json_text(blocks, columns, {**asdict(config), **(extra_meta or {})})
     else:
-        text = render_csv(rows, fieldnames)
+        text = _csv_text(blocks, columns)
     if config.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
-        with open(config.output, "w", newline="") as handle:
-            handle.write(text)
+        _write_file(config.output, text)
 
 
 # --- the subcommand table -------------------------------------------------------
@@ -420,9 +424,10 @@ class _Subcommand:
     help: str
     options: tuple[str, ...]  # keys of _OPTION_GROUPS, in --help order
     columns: tuple[str, ...]  # CSV header; empty for a report
-    build: Callable[[RunConfig], tuple[list, dict]]
-    write: Callable[[list, tuple[str, ...], RunConfig, dict], None] | None = None  # None: emit
+    build: Callable[[RunConfig], Iterator]  # yields column blocks; validate yields its checks
+    write: Callable[[Iterable, tuple[str, ...], RunConfig, dict], None] | None = None  # None: emit
     defaults: dict = field(default_factory=dict)  # dest -> default, making that option optional
+    meta: Callable[[RunConfig], dict] | None = None  # JSON meta extras, computed after the first block
 
 
 _SUBCOMMANDS = {
@@ -447,7 +452,8 @@ _SUBCOMMANDS = {
     "negativity": _Subcommand(
         "negativity sweep (plus the n=2 critical temperature)",
         ("n", "j", "split-a", "dense-cap", "field", "temperature", "output"),
-        ("n", "b", "t", "split", "negativity", "separable"), _rows_negativity, defaults={"n": 2}),
+        ("n", "b", "t", "split", "negativity", "separable"), _rows_negativity, defaults={"n": 2},
+        meta=_meta_negativity),
     "thermo-limit": _Subcommand(
         "limit curve and finite-size deviations", ("j", "sizes", "field", "output"),
         ("n", "b", "energy_density", "limit", "deviation"), _rows_thermo_limit),
@@ -476,33 +482,26 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     value_flags = {flag for group in _OPTION_GROUPS.values() for flags, keywords in group
                    if "nargs" not in keywords for flag in flags}
     merged = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token in value_flags and index + 1 < len(argv):
-            merged.append(f"{token}={argv[index + 1]}")
-            index += 2
-        else:
-            merged.append(token)
-            index += 1
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in value_flags else None
+        merged.append(token if value is None else f"{token}={value}")
     return merged
 
 
 def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _config_from_args(build_parser().parse_args(_merge_flag_values(list(argv))))
+        config = _config_from_args(build_parser().parse_args(_merge_flag_values(argv)))
         spec = _SUBCOMMANDS[config.subcommand]
-        rows, extra_meta = spec.build(config)
-        (spec.write or emit)(rows, spec.columns, config, extra_meta)
+        blocks = spec.build(config)
+        first = list(itertools.islice(blocks, 1))  # every cap and domain check runs before the first byte
+        extra_meta = spec.meta(config) if spec.meta else {}
+        (spec.write or emit)(itertools.chain(first, blocks), spec.columns, config, extra_meta)
         return 0
-    except UsageError as exc:
+    except (UsageError, SizeLimitError, NumericalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SizeLimitError, NumericalError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
     except MemoryError as exc:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2

@@ -46,14 +46,19 @@ def sector_basis_indices(n: int, m: int) -> np.ndarray:
     return indices
 
 
+def bit_counts(values: np.ndarray, n: int) -> np.ndarray:
+    """Set bits among the low n bits of each bitmask: the sector m of an occupation."""
+    weights = np.zeros(values.shape, dtype=np.int64)
+    for k in range(n):
+        weights += (values >> k) & 1
+    return weights
+
+
 @lru_cache(maxsize=None)
 def label_occupations(n: int) -> np.ndarray:
     """Occupation bitmasks in global label order: entry l-1 is the state of label l."""
     values = np.arange(1 << n, dtype=np.int64)
-    weights = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        weights += (values >> k) & 1
-    ordered = values[np.lexsort((values, weights))]
+    ordered = values[np.lexsort((values, bit_counts(values, n)))]
     ordered.setflags(write=False)
     return ordered
 

@@ -1,15 +1,20 @@
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xxchain.cli import _SUBCOMMANDS, emit, render_csv, run
+from xxchain.cli import _SUBCOMMANDS, RunConfig, emit, run
+from xxchain.params import NumericalError
 
 CROSSINGS_N4 = (
     "k,b_k\n"
@@ -277,12 +282,111 @@ def test_validate_passes(capsys):
 
 
 def test_emit_header_only_for_empty_rows(capsys):
-    assert render_csv([], ["a", "b"]) == "a,b\n"
+    emit(iter([]), ["a", "b"], RunConfig("test"))
+    assert capsys.readouterr().out == "a,b\n"
 
 
-def test_csv_float_formatting_nine_significant_digits():
-    text = render_csv([{"x": 0.8090169943749475, "y": 1 / 3}], ["x", "y"])
-    assert text == "x,y\n0.809016994,0.333333333\n"
+def test_csv_float_formatting_nine_significant_digits(capsys):
+    emit(iter([{"x": 0.8090169943749475, "y": 1 / 3}]), ["x", "y"], RunConfig("test"))
+    assert capsys.readouterr().out == "x,y\n0.809016994,0.333333333\n"
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+                   st.text(alphabet=',"|x1\n', max_size=4))
+
+
+@st.composite
+def column_blocks(draw):
+    """Blocks over columns a, b, c: each column a scalar, a float or int array, or a 2-D int array."""
+    size = draw(st.integers(0, 5))
+    block = {}
+    for name in "abc":
+        kind = draw(st.sampled_from(["scalar", "float", "int", "list"]))
+        if kind == "scalar":
+            block[name] = draw(SCALARS)
+        elif kind == "float":
+            block[name] = np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)), dtype=float)
+        else:
+            width = draw(st.integers(0, 3)) if kind == "list" else 1
+            cells = draw(st.lists(st.integers(-99, 99), min_size=size * width, max_size=size * width))
+            block[name] = np.array(cells, dtype=np.int64).reshape((size, width) if kind == "list" else (size,))
+    return block
+
+
+def _rows_of(block):
+    arrays = [value for value in block.values() if isinstance(value, np.ndarray)]
+    count = len(arrays[0]) if arrays else 1
+    return [{name: value.tolist()[i] if isinstance(value, np.ndarray) else value for name, value in block.items()}
+            for i in range(count)]
+
+
+def _reference_csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.9g" % value
+    if isinstance(value, list):
+        return ",".join(str(item) for item in value)
+    return str(value)
+
+
+@settings(deadline=None, max_examples=60)
+@given(blocks=st.lists(column_blocks(), max_size=4), chunk=st.integers(1, 3))
+def test_streamed_output_matches_whole_document_rendering(blocks, chunk):
+    # each block twice in a row, so a repeated array object reuses its formatted cells
+    blocks = [block for block in blocks for _ in range(2)]
+    rows = [row for block in blocks for row in _rows_of(block)]
+    expected_csv = io.StringIO()
+    writer = csv.writer(expected_csv, lineterminator="\n")
+    writer.writerow("abc")
+    writer.writerows([_reference_csv_cell(row[name]) for name in "abc"] for row in rows)
+    as_json = RunConfig("test", format="json")
+    extra = {"subcommand": "test", "note": [1, 2]}
+    expected_json = json.dumps({"meta": {**dataclasses.asdict(as_json), **extra}, "rows": rows}, indent=2) + "\n"
+    with mock.patch("xxchain.cli._CHUNK", chunk):
+        for config, extra, expected in [(RunConfig("test"), None, expected_csv.getvalue()),
+                                        (as_json, extra, expected_json)]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                emit(iter(blocks), ["a", "b", "c"], config, extra)
+            assert out.getvalue() == expected
+
+
+def test_cap_error_writes_no_byte(capsys):
+    assert run(["spectrum", "--n", "21", "--b", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level enumeration needs n <= 20, got n = 21\n"
+
+
+def _fail_after_first_block(monkeypatch):
+    """Make spectrum's builder raise after its first block."""
+    spec = _SUBCOMMANDS["spectrum"]
+
+    def build(config):
+        yield next(spec.build(config))
+        raise NumericalError("injected failure")
+
+    monkeypatch.setitem(_SUBCOMMANDS, "spectrum", dataclasses.replace(spec, build=build))
+
+
+def test_failure_mid_stream_leaves_no_output_file(monkeypatch, tmp_path, capsys):
+    _fail_after_first_block(monkeypatch)
+    target = tmp_path / "spectrum.csv"
+    assert run(["spectrum", "--n", "3", "--b-range", "0:1:2", "-o", str(target)]) == 2
+    assert capsys.readouterr().err == "error: injected failure\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_mid_stream_keeps_existing_output(monkeypatch, tmp_path, capsys):
+    _fail_after_first_block(monkeypatch)
+    target = tmp_path / "spectrum.csv"
+    target.write_bytes(b"old bytes\n")
+    assert run(["spectrum", "--n", "3", "--b-range", "0:1:2", "-o", str(target)]) == 2
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_readme_subcommand_table_matches_cli():

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -379,19 +378,20 @@ def _json_text(blocks: Iterable[dict], columns, meta: dict) -> Iterator[str]:
     """json.dumps({"meta": meta, "rows": rows}, indent=2) and a newline, one string per chunk."""
     head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
     yield head + "["
-    separator = "\n    "
+    separator = "\n"
     for block, start, count in _chunks(blocks):
         values = [block[name][start : start + count].tolist() if isinstance(block[name], np.ndarray)
                   else itertools.repeat(block[name], count) for name in columns]
-        rows = ",\n".join(json.dumps(dict(zip(columns, row)), indent=2) for row in zip(*values))
-        yield separator + rows.replace("\n", "\n    ")
-        separator = ",\n    "
-    yield ("]" if separator == "\n    " else "\n  ]") + tail + "\n"
+        rows = json.dumps([dict(zip(columns, row)) for row in zip(*values)], indent=2)
+        yield separator + "  " + rows[2:-2].replace("\n", "\n  ")  # the list's items, two levels deep
+        separator = ",\n"
+    yield ("]" if separator == "\n" else "\n  ]") + tail + "\n"
 
 
 def _write_file(path: str, text: Iterable[str]) -> None:
     """Write to a temporary file beside path, renamed onto it once complete (a device or pipe: in place)."""
     in_place = os.path.exists(path) and not os.path.isfile(path)
+    path = path if in_place else os.path.realpath(path)  # a symlink keeps pointing at the output
     target = path if in_place else f"{path}.{os.getpid()}.tmp"
     try:
         with open(target, "w", newline="") as handle:
@@ -399,8 +399,8 @@ def _write_file(path: str, text: Iterable[str]) -> None:
         if not in_place:
             os.replace(target, path)
     except BaseException:
-        if not in_place:
-            Path(target).unlink(missing_ok=True)
+        if not in_place and os.path.exists(target):
+            os.unlink(target)
         raise
 
 

@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import stat
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -271,6 +274,27 @@ def test_identical_configs_are_byte_identical(tmp_path):
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run(["crossings", "--n", "2", "-o", str(missing)]) == 2
+
+
+def test_output_through_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    assert run(["crossings", "--n", "4", "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == CROSSINGS_N4
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(["crossings", "--n", "4", "-o", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert received == [CROSSINGS_N4]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_validate_passes(capsys):

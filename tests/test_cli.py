@@ -356,7 +356,7 @@ def _reference_csv_cell(value):
     return str(value)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=40)
 @given(blocks=st.lists(column_blocks(), max_size=4), chunk=st.integers(1, 3))
 def test_streamed_output_matches_whole_document_rendering(blocks, chunk):
     # each block twice in a row, so a repeated array object reuses its formatted cells
@@ -370,11 +370,11 @@ def test_streamed_output_matches_whole_document_rendering(blocks, chunk):
     extra = {"subcommand": "test", "note": [1, 2]}
     expected_json = json.dumps({"meta": {**dataclasses.asdict(as_json), **extra}, "rows": rows}, indent=2) + "\n"
     with mock.patch("xxchain.cli._CHUNK", chunk):
-        for config, extra, expected in [(RunConfig("test"), None, expected_csv.getvalue()),
-                                        (as_json, extra, expected_json)]:
+        for config, extra_meta, expected in [(RunConfig("test"), None, expected_csv.getvalue()),
+                                             (as_json, extra, expected_json)]:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                emit(iter(blocks), ["a", "b", "c"], config, extra)
+                emit(iter(blocks), ["a", "b", "c"], config, extra_meta)
             assert out.getvalue() == expected
 
 

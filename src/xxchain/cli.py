@@ -10,6 +10,7 @@ to the zero-temperature closed forms.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativity
 from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
-from .params import LEVEL_CAP, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
+from .params import MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
 from .spectrum import (
     _CHUNK,
     crossing_fields,
@@ -39,6 +40,9 @@ from .thermal import (
     purity_dense,
     thermal_density_matrix,
 )
+
+_DERIVATIVE_STEP = 1e-5
+
 
 class UsageError(Exception):
     pass
@@ -208,12 +212,13 @@ def _points(config: RunConfig):
 
 
 def _rows_spectrum(config: RunConfig):
-    check_cap(config.n, LEVEL_CAP, "level enumeration")
-    occupation = np.arange(1 << config.n, dtype=np.int64)
-    m = bit_counts(occupation, config.n)
+    integers = None  # occupation and m, shared by every field
     for b in _field_grid(config):
-        yield {"n": config.n, "b": b, "occupation": occupation, "m": m,
-               "energy": enumerate_levels(ChainParams(n=config.n, j=config.j, b=b))}
+        energy = enumerate_levels(ChainParams(n=config.n, j=config.j, b=b))  # checks the level cap first
+        if integers is None:
+            occupation = np.arange(energy.size, dtype=np.int64)
+            integers = {"occupation": occupation, "m": bit_counts(occupation, config.n)}
+        yield {"n": config.n, "b": b, **integers, "energy": energy}
 
 
 def _rows_ground_state(config: RunConfig):
@@ -228,13 +233,16 @@ def _rows_crossings(config: RunConfig):
 
 
 def _rows_thermal(config: RunConfig):
-    check_cap(config.n, LEVEL_CAP, "Boltzmann weight table")
-    m = bit_counts(label_occupations(config.n), config.n)
-    l = np.arange(1, m.size + 1)
-    r = l - np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])[m]  # l = r + sum_{s<m} C(n, s)
+    labels = None  # l, r and m, shared by every point
     for b, t, beta, params in _points(config):
-        yield {"n": config.n, "b": b, "t": t, "beta": beta, "l": l, "r": r, "m": m,
-               "energy": label_energies(params), "probability": boltzmann_weights(params, beta).probabilities}
+        probability = boltzmann_weights(params, beta).probabilities  # checks the level cap first
+        if labels is None:
+            m = bit_counts(label_occupations(config.n), config.n)
+            l = np.arange(1, m.size + 1)
+            r = l - np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])[m]  # l = r + sum_{s<m} C(n, s)
+            labels = {"l": l, "r": r, "m": m}
+        yield {"n": config.n, "b": b, "t": t, "beta": beta, **labels,
+               "energy": label_energies(params), "probability": probability}
 
 
 def _rows_purity(config: RunConfig):
@@ -246,7 +254,7 @@ def _rows_purity(config: RunConfig):
 
 
 def _rows_purity_derivative(config: RunConfig):
-    h = 1e-5  # centered-difference step in b
+    h = _DERIVATIVE_STEP
     for b, t, beta, _ in _points(config):
         upper = purity_analytic(ChainParams(n=config.n, j=config.j, b=b + h), beta)
         lower = purity_analytic(ChainParams(n=config.n, j=config.j, b=b - h), beta)
@@ -276,51 +284,74 @@ def _meta_negativity(config: RunConfig) -> dict:
 
 
 def _rows_thermo_limit(config: RunConfig):
-    for n, b in itertools.product(config.sizes, _field_grid(config)):
-        density = finite_size_energy_density(n, b, config.j)
-        limit = config.j * thermo_energy_density(b / config.j)
-        yield {"n": n, "b": b, "energy_density": density, "limit": limit, "deviation": abs(density - limit)}
+    for n in config.sizes:
+        for b in _field_grid(config):
+            density = finite_size_energy_density(n, b, config.j)
+            limit_value = config.j * thermo_energy_density(b / config.j)
+            yield {
+                "n": n, "b": b,
+                "energy_density": density,
+                "limit": limit_value,
+                "deviation": abs(density - limit_value),
+            }
 
 
 def _rows_validate(config: RunConfig):
-    """One (name, worst, tolerance) per cross-check of the closed forms."""
+    """One (name, worst, tolerance) row per cross-check of the closed forms."""
     n, j = config.n, config.j
-    chains = [ChainParams(n=n, j=j, b=b) for b in (-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2)]
-    yield "eigenvalue-multiset", max(
-        float(np.max(np.abs(np.sort(enumerate_levels(p)) - diagonalize(build_hamiltonian(p))[0]))) for p in chains
-    ), 1e-10
+    fields = [-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2]
+
+    worst = 0.0
+    for b in fields:
+        params = ChainParams(n=n, j=j, b=b)
+        closed = np.sort(enumerate_levels(params))
+        dense = diagonalize(build_hamiltonian(params))[0]
+        worst = max(worst, float(np.max(np.abs(closed - dense))))
+    yield "eigenvalue-multiset", worst, 1e-10
 
     basis = eigenbasis_matrix(n)
-    yield "eigenvector-residual", max(
-        float(np.max(np.abs(build_hamiltonian(p).entries @ basis - basis * label_energies(p)[None, :])))
-        for p in chains
-    ), 1e-8
+    worst = 0.0
+    for b in fields:
+        params = ChainParams(n=n, j=j, b=b)
+        h = build_hamiltonian(params).entries
+        residual = h @ basis - basis * label_energies(params)[None, :]
+        worst = max(worst, float(np.max(np.abs(residual))))
+    yield "eigenvector-residual", worst, 1e-8
 
-    yield "purity-identity", max(
-        abs(purity_analytic(p, 1.0 / t) - purity_dense(thermal_density_matrix(p, 1.0 / t)))
-        for p in [ChainParams(n=n, j=j, b=b) for b in (-0.9, 0.31, 0.75)] for t in (0.2, 0.9, 2.0)
-    ), 1e-10
+    worst = 0.0
+    for b in (-0.9, 0.31, 0.75):
+        params = ChainParams(n=n, j=j, b=b)
+        for t in (0.2, 0.9, 2.0):
+            beta = 1.0 / t
+            gap = purity_analytic(params, beta) - purity_dense(thermal_density_matrix(params, beta))
+            worst = max(worst, abs(gap))
+    yield "purity-identity", worst, 1e-10
 
-    def partition_gap(p, beta):
-        direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(p).tolist())
-        return abs(math.exp(log_partition_function(p, beta)) - direct) / direct
+    worst = 0.0
+    for b in (-0.5, 0.31):
+        params = ChainParams(n=n, j=j, b=b)
+        for beta in (0.0, 0.7, 2.1):
+            direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(params).tolist())
+            log_z = log_partition_function(params, beta)
+            worst = max(worst, abs(math.exp(log_z) - direct) / direct)
+    yield "partition-function", worst, 1e-12
 
-    yield "partition-function", max(
-        partition_gap(ChainParams(n=n, j=j, b=b), beta) for b in (-0.5, 0.31) for beta in (0.0, 0.7, 2.1)
-    ), 1e-12
-
-    crossings = [ChainParams(n=n, j=j, b=float(b)) for b in crossing_fields(n, j).fields_b]
-    yield "crossing-degeneracy", max(
-        abs(ground_energy(p, k) - ground_energy(p, k + 1)) for k, p in enumerate(crossings)
-    ), 1e-12
+    worst = 0.0
+    for index, field_b in enumerate(crossing_fields(n, j).fields_b):
+        params = ChainParams(n=n, j=j, b=float(field_b))
+        gap = ground_energy(params, index) - ground_energy(params, index + 1)
+        worst = max(worst, abs(gap))
+    yield "crossing-degeneracy", worst, 1e-12
 
 
 def _write_report(checks, columns, config: RunConfig, extra_meta: dict) -> None:
     checks = list(checks)  # every check runs before the report's first line
-    failures = sum(not value <= tolerance for _, value, tolerance in checks)
     print(f"validate n={config.n} j={config.j:g}")
+    failures = 0
     for name, value, tolerance in checks:
-        print(f"{'PASS' if value <= tolerance else 'FAIL'} {name:<22} worst = {value:.3e} (tol {tolerance:.0e})")
+        ok = value <= tolerance
+        failures += 0 if ok else 1
+        print(f"{'PASS' if ok else 'FAIL'} {name:<22} worst = {value:.3e} (tol {tolerance:.0e})")
     print(f"{len(checks) - failures} checks passed, {failures} failed")
     if failures:
         raise NumericalError(f"{failures} of {len(checks)} validation checks failed")
@@ -352,25 +383,11 @@ def _csv_cells(values: list) -> list[str]:
 
 
 def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:
-    """The header, then one string per chunk.
-
-    An array passed again as the same object at the same offset keeps its cells, so the integer
-    columns of spectrum and thermal are formatted once per run when a block fits in one chunk.
-    """
+    """The header, then one string per chunk."""
     yield ",".join(columns) + "\n"
-    kept = {}  # column -> (array, start, cells) of the chunk that last formatted it
     for block, start, count in _chunks(blocks):
-        cells = []
-        for name in columns:
-            value = block[name]
-            if not isinstance(value, np.ndarray):
-                cells.append(itertools.repeat(_csv_cells([value])[0], count))
-                continue
-            source, offset, text = kept.get(name, (None, None, None))
-            if source is not value or offset != start:
-                text = _csv_cells(value[start : start + count].tolist())
-                kept[name] = (value, start, text)
-            cells.append(text)
+        cells = [_csv_cells(block[name][start : start + count].tolist()) if isinstance(block[name], np.ndarray)
+                 else itertools.repeat(_csv_cells([block[name]])[0], count) for name in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -389,18 +406,27 @@ def _json_text(blocks: Iterable[dict], columns, meta: dict) -> Iterator[str]:
 
 
 def _write_file(path: str, text: Iterable[str]) -> None:
-    """Write to a temporary file beside path, renamed onto it once complete (a device or pipe: in place)."""
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    path = path if in_place else os.path.realpath(path)  # a symlink keeps pointing at the output
-    target = path if in_place else f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(target, "w", newline="") as handle:
+    """Write to a new temporary file beside path, renamed onto it once complete (a device or pipe: in place)."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as handle:
             handle.writelines(text)
-        if not in_place:
-            os.replace(target, path)
+        return
+    path = os.path.realpath(path)  # a symlink keeps pointing at the output
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)  # as open(path, "w") would
+    for attempt in itertools.count():
+        target = f"{path}.{os.getpid()}.{attempt}.tmp"
+        try:
+            handle = open(target, "x", newline="")  # exclusive: an existing file of that name is left alone
+        except FileExistsError:
+            continue
+        break
+    try:
+        with handle:
+            handle.writelines(text)
+        os.replace(target, path)
     except BaseException:
-        if not in_place and os.path.exists(target):
-            os.unlink(target)
+        os.unlink(target)
         raise
 
 
@@ -482,26 +508,37 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     value_flags = {flag for group in _OPTION_GROUPS.values() for flags, keywords in group
                    if "nargs" not in keywords for flag in flags}
     merged = []
-    tokens = iter(argv)
-    for token in tokens:
-        value = next(tokens, None) if token in value_flags else None
-        merged.append(token if value is None else f"{token}={value}")
+    index = 0
+    while index < len(argv):
+        token = argv[index]
+        if token in value_flags and index + 1 < len(argv):
+            merged.append(f"{token}={argv[index + 1]}")
+            index += 2
+        else:
+            merged.append(token)
+            index += 1
     return merged
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        config = _config_from_args(build_parser().parse_args(_merge_flag_values(argv)))
+        config = _config_from_args(build_parser().parse_args(_merge_flag_values(list(argv))))
         spec = _SUBCOMMANDS[config.subcommand]
         blocks = spec.build(config)
-        first = list(itertools.islice(blocks, 1))  # every cap and domain check runs before the first byte
+        # the first block is built now, so every cap and domain check runs before the first byte; the
+        # list is held only by its iterator, which lets it go once the block is written
+        blocks = itertools.chain(iter(list(itertools.islice(blocks, 1))), blocks)
         extra_meta = spec.meta(config) if spec.meta else {}
-        (spec.write or emit)(itertools.chain(first, blocks), spec.columns, config, extra_meta)
+        (spec.write or emit)(blocks, spec.columns, config, extra_meta)
         return 0
-    except (UsageError, SizeLimitError, NumericalError, ValueError, OSError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, UsageError) else 2
+        return 1
+    except (SizeLimitError, NumericalError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MemoryError as exc:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2

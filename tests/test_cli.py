@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import stat
 import threading
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -285,6 +287,26 @@ def test_output_through_symlink_writes_its_target(tmp_path):
     assert target.read_text() == CROSSINGS_N4
 
 
+def test_output_leaves_an_existing_temporary_name_alone(tmp_path):
+    target = tmp_path / "out.csv"
+    taken = tmp_path / f"out.csv.{os.getpid()}.0.tmp"
+    taken.write_text("not ours\n")
+    assert run(["crossings", "--n", "4", "-o", str(target)]) == 0
+    assert target.read_text() == CROSSINGS_N4
+    assert taken.read_text() == "not ours\n"
+    assert sorted(tmp_path.iterdir()) == [target, taken]
+
+
+def test_output_refuses_a_file_it_may_not_write(monkeypatch, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    monkeypatch.setattr(os, "access", lambda path, mode: False)  # a read-only file, also when run as root
+    assert run(["crossings", "--n", "4", "-o", str(target)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_output_to_a_pipe_is_written_in_place(tmp_path):
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
@@ -359,8 +381,6 @@ def _reference_csv_cell(value):
 @settings(deadline=None, max_examples=40)
 @given(blocks=st.lists(column_blocks(), max_size=4), chunk=st.integers(1, 3))
 def test_streamed_output_matches_whole_document_rendering(blocks, chunk):
-    # each block twice in a row, so a repeated array object reuses its formatted cells
-    blocks = [block for block in blocks for _ in range(2)]
     rows = [row for block in blocks for row in _rows_of(block)]
     expected_csv = io.StringIO()
     writer = csv.writer(expected_csv, lineterminator="\n")
@@ -411,6 +431,25 @@ def test_failure_mid_stream_keeps_existing_output(monkeypatch, tmp_path, capsys)
     assert run(["spectrum", "--n", "3", "--b-range", "0:1:2", "-o", str(target)]) == 2
     assert target.read_bytes() == b"old bytes\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_written_block_is_not_held_for_the_rest_of_the_run(monkeypatch, capsys):
+    energies = []  # a weak reference to each block's energy column
+    first_alive_at_third = []
+
+    def build(config):
+        for b in (0.0, 0.5, 1.0):
+            gc.collect()
+            if len(energies) == 2:
+                first_alive_at_third.append(energies[0]() is not None)
+            block = {"n": 2, "b": b, "occupation": np.arange(4), "m": np.arange(4), "energy": np.full(4, b)}
+            energies.append(weakref.ref(block["energy"]))
+            yield block
+
+    monkeypatch.setitem(_SUBCOMMANDS, "spectrum", dataclasses.replace(_SUBCOMMANDS["spectrum"], build=build))
+    assert run(["spectrum", "--n", "2", "--b", "0"]) == 0
+    assert capsys.readouterr().out.count("\n") == 13
+    assert first_alive_at_third == [False]
 
 
 def test_readme_subcommand_table_matches_cli():

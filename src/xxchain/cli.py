@@ -382,13 +382,18 @@ def _csv_cells(values: list) -> list[str]:
     return ['"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text for text in texts]
 
 
+def _csv_chunk(block: dict, start: int, count: int, columns) -> str:
+    # a function of its own, so one chunk's cells are freed before the next chunk's are built
+    cells = [_csv_cells(block[name][start : start + count].tolist()) if isinstance(block[name], np.ndarray)
+             else itertools.repeat(_csv_cells([block[name]])[0], count) for name in columns]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:
     """The header, then one string per chunk."""
     yield ",".join(columns) + "\n"
     for block, start, count in _chunks(blocks):
-        cells = [_csv_cells(block[name][start : start + count].tolist()) if isinstance(block[name], np.ndarray)
-                 else itertools.repeat(_csv_cells([block[name]])[0], count) for name in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield _csv_chunk(block, start, count, columns)
 
 
 def _json_text(blocks: Iterable[dict], columns, meta: dict) -> Iterator[str]:

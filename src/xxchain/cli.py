@@ -396,16 +396,21 @@ def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:
         yield _csv_chunk(block, start, count, columns)
 
 
+def _json_chunk(block: dict, start: int, count: int, columns) -> str:
+    # a function of its own, so one chunk's values are freed before the next chunk's are encoded
+    values = [block[name][start : start + count].tolist() if isinstance(block[name], np.ndarray)
+              else itertools.repeat(block[name], count) for name in columns]
+    rows = json.dumps([dict(zip(columns, row)) for row in zip(*values)], indent=2)
+    return "  " + rows[2:-2].replace("\n", "\n  ")  # the list's items, two levels deep
+
+
 def _json_text(blocks: Iterable[dict], columns, meta: dict) -> Iterator[str]:
     """json.dumps({"meta": meta, "rows": rows}, indent=2) and a newline, one string per chunk."""
     head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
     yield head + "["
     separator = "\n"
     for block, start, count in _chunks(blocks):
-        values = [block[name][start : start + count].tolist() if isinstance(block[name], np.ndarray)
-                  else itertools.repeat(block[name], count) for name in columns]
-        rows = json.dumps([dict(zip(columns, row)) for row in zip(*values)], indent=2)
-        yield separator + "  " + rows[2:-2].replace("\n", "\n  ")  # the list's items, two levels deep
+        yield separator + _json_chunk(block, start, count, columns)
         separator = ",\n"
     yield ("]" if separator == "\n" else "\n  ]") + tail + "\n"
 

@@ -29,19 +29,33 @@ import numpy as np
 from .params import MATRIX_CAP, check_cap
 
 
+# gathered sine entries per batched np.linalg.det call: bounds the build's working memory
+_CHUNK_ENTRIES = 1 << 14
+
+
 @lru_cache(maxsize=None)
 def _position_combos(n: int, m: int) -> np.ndarray:
-    combos = np.array(list(itertools.combinations(range(1, n + 1), m)), dtype=np.int64)
+    """Lex-ranked position tuples as 0-based sites, one row per tuple."""
+    combos = np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
     combos = combos.reshape(math.comb(n, m), m)
     combos.setflags(write=False)
     return combos
 
 
 @lru_cache(maxsize=None)
+def _sine_table(n: int) -> np.ndarray:
+    """Entry [k-1, l-1] = sin(pi*k*l/(n+1)), evaluated as ((pi/(n+1)) * k) * l, which pins the tables' bits."""
+    k = np.arange(1, n + 1, dtype=np.int64)
+    table = np.sin(((np.pi / (n + 1)) * k)[:, None] * k)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
 def sector_basis_indices(n: int, m: int) -> np.ndarray:
     """Spin-basis integer (bit l-1 = site l flipped) per lex-ranked position tuple."""
     combos = _position_combos(n, m)
-    indices = np.sum(np.int64(1) << (combos - 1), axis=1) if m else np.zeros(1, dtype=np.int64)
+    indices = np.sum(np.int64(1) << combos, axis=1) if m else np.zeros(1, dtype=np.int64)
     indices.setflags(write=False)
     return indices
 
@@ -84,14 +98,24 @@ class SpinBasisVector:
         return dense
 
 
-def _amplitudes_for_modes(n: int, modes: np.ndarray) -> np.ndarray:
-    """All C(n, m) amplitudes (2/(n+1))^(m/2) * det[sin(pi*k_a*l_b/(n+1))] of one state."""
-    m = modes.size
-    if m == 0:
-        return np.ones(1)
-    combos = _position_combos(n, m)
-    blocks = np.sin((np.pi / (n + 1)) * modes[None, :, None] * combos[:, None, :])
-    return (2.0 / (n + 1)) ** (m / 2.0) * np.linalg.det(blocks)
+def _slater_rows(n: int, modes: np.ndarray) -> np.ndarray:
+    """Row i: the C(n, m) amplitudes (2/(n+1))^(m/2) * det[sin(pi*k_a*l_b/(n+1))] of state i.
+
+    ``modes`` holds one ascending row of m 0-based mode indices per state.  The
+    m x m blocks are gathered from :func:`_sine_table` and passed to one
+    ``np.linalg.det`` per chunk of states, which factors each matrix on its own,
+    so the values do not depend on the chunking.
+    """
+    count, m = modes.shape
+    positions = _position_combos(n, m)
+    table = _sine_table(n)
+    step = max(1, _CHUNK_ENTRIES // (positions.size * m or 1))
+    rows = np.empty((count, positions.shape[0]))
+    for start in range(0, count, step):
+        blocks = table[modes[start : start + step]][:, :, positions]  # [state, a, tuple, b]
+        rows[start : start + step] = np.linalg.det(blocks.transpose(0, 2, 1, 3))
+    rows *= (2.0 / (n + 1)) ** (m / 2.0)
+    return rows
 
 
 def ground_state(n: int, k: int) -> SpinBasisVector:
@@ -99,7 +123,7 @@ def ground_state(n: int, k: int) -> SpinBasisVector:
     if not 0 <= k <= n:
         raise ValueError(f"sector must satisfy 0 <= k <= {n}, got {k}")
     check_cap(n, MATRIX_CAP, "eigenstate construction")
-    return SpinBasisVector(n, k, _amplitudes_for_modes(n, np.arange(1, k + 1, dtype=np.int64)))
+    return SpinBasisVector(n, k, _slater_rows(n, np.arange(k, dtype=np.int64)[None, :])[0])
 
 
 @lru_cache(maxsize=None)
@@ -110,10 +134,8 @@ def sector_amplitude_matrix(n: int, m: int) -> np.ndarray:
     """
     start = sector_index_to_label(1, m, n) - 1
     values = label_occupations(n)[start : start + math.comb(n, m)]
-    sites = np.arange(n)
-    rows = np.empty((values.size, values.size))
-    for r, value in enumerate(values):
-        rows[r] = _amplitudes_for_modes(n, np.flatnonzero((value >> sites) & 1) + 1)
+    occupied = np.nonzero((values[:, None] >> np.arange(n)) & 1)[1]  # row-major: each row's modes ascending
+    rows = _slater_rows(n, occupied.reshape(values.size, m))
     rows.setflags(write=False)
     return rows
 

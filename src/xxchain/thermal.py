@@ -153,13 +153,17 @@ def purity_dense(rho: DensityMatrix) -> float:
 
     The order is that of a full-matrix contraction, so the value does not
     depend on how the state is blocked: each spin-basis row is summed over
-    ascending columns, then the row sums over ascending rows.  ``np.cumsum``
-    adds sequentially (``np.sum`` would add pairwise and move the last bits).
+    ascending columns, then the row sums over ascending rows.  The products
+    are laid out transposed, one row per spin-basis column in ascending
+    order, so ``np.add.reduce`` over axis 0 of the C-contiguous array adds
+    whole rows into the running sums one after another.  A reduction along
+    the contiguous axis (``np.sum`` of a row, or of the row sums) would add
+    pairwise and can move the last bits; ``np.cumsum`` adds sequentially.
     """
     row_sums = np.zeros(rho.dim)
     for indices, block in rho.blocks:
-        products = (block * block.T)[:, np.argsort(indices)]
-        row_sums[indices] = np.cumsum(products, axis=1, out=products)[:, -1]
+        order = np.argsort(indices)
+        row_sums[indices] = np.add.reduce(block[order] * block.T[order], axis=0)
     return float(np.cumsum(row_sums)[-1])
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,44 @@ def sine_transform(n):
     # entry [k-1, l-1] = sqrt(2/(n+1)) * sin(pi*k*l/(n+1)), written out independently of the package
     k = np.arange(1, n + 1)
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+
+
+def per_row_sector_table(n, m):
+    # reference builder: for each state, a fresh np.sin stack of its C(n, m) blocks, then np.linalg.det
+    combos = np.array(list(itertools.combinations(range(1, n + 1), m)), dtype=np.int64)
+    combos = combos.reshape(math.comb(n, m), m)
+    start = sector_index_to_label(1, m, n) - 1
+    rows = []
+    for value in label_occupations(n)[start : start + math.comb(n, m)].tolist():
+        modes = np.array([k for k in range(1, n + 1) if value >> (k - 1) & 1], dtype=np.int64)
+        blocks = np.sin((np.pi / (n + 1)) * modes[None, :, None] * combos[:, None, :])
+        rows.append((2.0 / (n + 1)) ** (m / 2.0) * np.linalg.det(blocks) if m else np.ones(1))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_sector_tables_bit_identical_to_per_row_builder(n):
+    # the shared sine table and the chunked determinants must not move a single bit
+    for m in range(n + 1):
+        reference = per_row_sector_table(n, m)
+        assert np.array_equal(sector_amplitude_matrix(n, m), reference)
+        assert np.array_equal(ground_state(n, m).amplitudes, reference[0])  # rank 1: modes 1..m
+
+
+def test_cold_table_build_memory_is_chunked():
+    # the build gathers a bounded chunk of sine blocks at a time; gathering a whole
+    # n = 10, m = 5 sector at once (252 x 252 blocks of 5 x 5, about 12.7 MB) fails here
+    n = 10
+    sector_amplitude_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = [sector_amplitude_matrix(n, m) for m in range(n + 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(table.nbytes for table in tables)
+    assert own == math.comb(2 * n, n) * 8  # about 1.48 MB
+    assert peak - own < 1 << 20
 
 
 def test_sine_coefficient_closed_forms():

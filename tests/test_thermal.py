@@ -298,6 +298,19 @@ def test_blocks_and_full_matrix_of_other_states_agree():
         assert purity_dense(rho) == float(np.einsum("ij,ji->", rho.entries, rho.entries))
 
 
+def test_purity_addition_order_pinned_at_production_size():
+    # n = 10 blocks reach 252 x 252, and every sector's indices with m >= 2 are unsorted
+    n = 10
+    near = ChainParams(n=n, b=crossing_field(n, 4) + 1e-3)
+    for rho in (
+        thermal_density_matrix(ChainParams(n=n, b=0.3), 0.0),
+        thermal_density_matrix(ChainParams(n=n, b=0.3), math.inf),
+        thermal_density_matrix(near, 40.0),
+        crossing_mixture(n, 4),
+    ):
+        assert purity_dense(rho) == float(np.einsum("ij,ji->", rho.entries, rho.entries))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),

@@ -163,7 +163,9 @@ def purity_dense(rho: DensityMatrix) -> float:
     row_sums = np.zeros(rho.dim)
     for indices, block in rho.blocks:
         order = np.argsort(indices)
-        row_sums[indices] = np.add.reduce(block[order] * block.T[order], axis=0)
+        products = block[order]
+        products *= block.T[order]
+        row_sums[indices] = np.add.reduce(products, axis=0)
     return float(np.cumsum(row_sums)[-1])
 
 

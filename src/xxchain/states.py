@@ -109,7 +109,8 @@ def _slater_rows(n: int, modes: np.ndarray) -> np.ndarray:
     count, m = modes.shape
     positions = _position_combos(n, m)
     table = _sine_table(n)
-    step = max(1, _CHUNK_ENTRIES // (positions.size * m or 1))
+    per_state = positions.size * m  # C(n, m) blocks of m x m entries
+    step = max(1, _CHUNK_ENTRIES // max(per_state, 1))
     rows = np.empty((count, positions.shape[0]))
     for start in range(0, count, step):
         blocks = table[modes[start : start + step]][:, :, positions]  # [state, a, tuple, b]

@@ -12,6 +12,9 @@ from .thermal import DensityMatrix, label_energies
 
 PPT_ATOL = 1e-12
 
+# block entries per partial-transpose scatter: bounds its index array for a one-block state
+_SCATTER_ENTRIES = 1 << 14
+
 
 @dataclass(frozen=True)
 class BipartiteSplit:
@@ -44,16 +47,28 @@ class BipartiteSplit:
 
 
 def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
-    """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving."""
+    """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving.
+
+    Scattered from ``rho.blocks``, so the full matrix of ``rho`` is never
+    built: the entry at spin-basis row r, column c moves to row
+    (r & ~mask) | (c & mask), column (c & ~mask) | (r & mask), where mask has
+    the bits of the sites in B.  Each entry is copied once, unchanged.
+    """
     n = split.n
     if rho.dim != 1 << n:
         raise ValueError(f"matrix dimension {rho.dim} does not match a {n}-site split")
-    tensor = rho.entries.reshape((2,) * (2 * n))
-    axes = list(range(2 * n))
-    for site in split.sites_b:
-        # C-order reshape puts site n first: site s is row axis n - s, column axis 2n - s
-        axes[n - site], axes[2 * n - site] = axes[2 * n - site], axes[n - site]
-    return np.ascontiguousarray(tensor.transpose(axes).reshape(rho.dim, rho.dim))
+    mask = sum(1 << (site - 1) for site in split.sites_b)
+    result = np.zeros((rho.dim, rho.dim))
+    flat = result.reshape(-1)
+    for indices, block in rho.blocks:
+        kept, swapped = indices & ~mask, indices & mask
+        # kept and swapped bits are disjoint, so the flat target index is a sum of a row and a column term
+        row_term, column_term = kept * rho.dim + swapped, swapped * rho.dim + kept
+        step = max(1, _SCATTER_ENTRIES // len(indices))
+        for start in range(0, len(indices), step):
+            rows = slice(start, start + step)
+            flat[row_term[rows, None] + column_term] = block[rows]
+    return result
 
 
 def negativity(rho: DensityMatrix, split: BipartiteSplit) -> float:

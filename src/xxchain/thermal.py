@@ -51,7 +51,11 @@ class DensityMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The full dim x dim matrix (read-only), built from the blocks on first access."""
+        """The full dim x dim matrix (read-only), built from the blocks on first access.
+
+        No function of the package reads it: purity and the partial transpose
+        work from ``blocks``.  It is there for callers that want the dense form.
+        """
         full = np.zeros((self.dim, self.dim))
         for indices, block in self.blocks:
             full[np.ix_(indices, indices)] = block

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xxchain import (
@@ -57,6 +58,54 @@ def test_partial_transpose_product_state_spectrum_unchanged():
 def test_partial_transpose_identity_fixed_point():
     rho = DensityMatrix.maximally_mixed(2)
     assert np.array_equal(partial_transpose(rho, SPLIT_11), rho.entries)
+
+
+def tensor_partial_transpose(matrix, split):
+    """The partial transpose as an axis swap of the full matrix's 2n-axis tensor."""
+    n = split.n
+    tensor = matrix.reshape((2,) * (2 * n))
+    axes = list(range(2 * n))
+    for site in split.sites_b:
+        # C-order reshape puts site n first: site s is row axis n - s, column axis 2n - s
+        axes[n - site], axes[2 * n - site] = axes[2 * n - site], axes[n - site]
+    return np.ascontiguousarray(tensor.transpose(axes).reshape(matrix.shape))
+
+
+@st.composite
+def states_and_splits(draw):
+    n = draw(st.integers(2, 8))
+    sites_a = draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+    kind = draw(st.sampled_from(["gibbs", "crossing", "one-block"]))
+    if kind == "gibbs":
+        beta = draw(st.sampled_from([0.0, math.inf]) | st.floats(1e-3, 50))
+        rho = thermal_density_matrix(ChainParams(n=n, b=draw(st.floats(-2, 2))), beta)
+    elif kind == "crossing":
+        rho = crossing_mixture(n, draw(st.integers(0, n - 1)))
+    else:
+        matrix = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((1 << n, 1 << n))
+        rho = DensityMatrix.from_matrix(matrix + matrix.T)
+    return rho, BipartiteSplit.of(n, sites_a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=states_and_splits())
+def test_partial_transpose_matches_tensor_transpose(case):
+    rho, split = case
+    assert np.array_equal(partial_transpose(rho, split), tensor_partial_transpose(rho.entries, split))
+
+
+@pytest.mark.parametrize("n,one_block", [(8, False), (10, False), (10, True)])
+def test_partial_transpose_holds_no_second_full_matrix(n, one_block):
+    # built from the blocks: neither rho's full matrix nor a dim x dim index array appears
+    rho = DensityMatrix.maximally_mixed(n) if one_block else thermal_density_matrix(ChainParams(n=n, b=0.3), 2.0)
+    split = BipartiteSplit.of(n, range(1, n // 2 + 1))
+    tracemalloc.start()
+    try:
+        pt = partial_transpose(rho, split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pt.nbytes
 
 
 def test_partial_transpose_singlet_minimum_eigenvalue():

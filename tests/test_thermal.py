@@ -311,6 +311,16 @@ def test_purity_addition_order_pinned_at_production_size():
         assert purity_dense(rho) == float(np.einsum("ij,ji->", rho.entries, rho.entries))
 
 
+def test_purity_adds_within_a_row_one_product_at_a_time():
+    # row 0's products are 1 and then sixteen 2^-54: added one at a time, each rounds back to 1.0,
+    # while a pairwise sum first adds them to each other and keeps part of them
+    matrix = np.zeros((32, 32))
+    matrix[0, 0] = 1.0
+    matrix[0, 1:17] = matrix[1:17, 0] = 2.0**-27
+    assert float(np.sum(matrix[0] * matrix[:, 0])) > 1.0
+    assert purity_dense(DensityMatrix.from_matrix(matrix)) == 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),

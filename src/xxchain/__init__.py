@@ -10,18 +10,11 @@ from .entanglement import (
     critical_temperature_two_qubit,
     negativity,
     partial_transpose,
-    two_qubit_separable,
 )
-from .limits import (
-    crossing_density,
-    finite_size_energy_density,
-    thermo_energy_density,
-)
-from .oracle import DenseHamiltonian, build_hamiltonian, diagonalize
+from .limits import finite_size_energy_density, thermo_energy_density
+from .oracle import build_hamiltonian, diagonalize
 from .params import ChainParams, NumericalError, SizeLimitError
 from .spectrum import (
-    CrossingSet,
-    ModeSpectrum,
     crossing_fields,
     enumerate_levels,
     ground_energy,
@@ -30,7 +23,6 @@ from .spectrum import (
     mode_energies,
 )
 from .states import (
-    SpinBasisVector,
     eigenbasis_matrix,
     ground_state,
     label_occupations,
@@ -39,7 +31,6 @@ from .states import (
 )
 from .thermal import (
     DensityMatrix,
-    ThermalEnsemble,
     boltzmann_weights,
     crossing_mixture,
     label_energies,
@@ -53,18 +44,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteSplit",
     "ChainParams",
-    "CrossingSet",
-    "DenseHamiltonian",
     "DensityMatrix",
-    "ModeSpectrum",
     "NumericalError",
     "SizeLimitError",
-    "SpinBasisVector",
-    "ThermalEnsemble",
     "boltzmann_weights",
     "build_hamiltonian",
     "critical_temperature_two_qubit",
-    "crossing_density",
     "crossing_fields",
     "crossing_mixture",
     "diagonalize",
@@ -86,5 +71,4 @@ __all__ = [
     "sector_index_to_label",
     "thermal_density_matrix",
     "thermo_energy_density",
-    "two_qubit_separable",
 ]

@@ -223,8 +223,7 @@ def _rows_spectrum(config: RunConfig):
 
 def _rows_ground_state(config: RunConfig):
     vector = ground_state(config.n, config.k)
-    positions = np.array(list(vector.positions()), dtype=np.int64).reshape(vector.amplitudes.size, config.k)
-    yield {"n": config.n, "k": config.k, "positions": positions, "amplitude": vector.amplitudes}
+    yield {"n": config.n, "k": config.k, "positions": vector.positions, "amplitude": vector.amplitudes}
 
 
 def _rows_crossings(config: RunConfig):
@@ -332,8 +331,8 @@ def _rows_validate(config: RunConfig):
         params = ChainParams(n=n, j=j, b=b)
         for beta in (0.0, 0.7, 2.1):
             direct = sum(math.exp(-beta * energy) for energy in enumerate_levels(params).tolist())
-            log_z = log_partition_function(params, beta)
-            worst = max(worst, abs(math.exp(log_z) - direct) / direct)
+            closed = math.exp(log_partition_function(params, beta))
+            worst = max(worst, abs(closed - direct) / direct)
     yield "partition-function", worst, 1e-12
 
     worst = 0.0

@@ -12,6 +12,10 @@ from .thermal import DensityMatrix, label_energies
 
 PPT_ATOL = 1e-12
 
+# bisection for kT_c / J: initial bracket and the interval width it stops at
+_KT_BRACKET = (1e-6, 1e3)
+_KT_TOL = 1e-9
+
 # block entries per partial-transpose scatter: bounds its index array for a one-block state
 _SCATTER_ENTRIES = 1 << 14
 
@@ -77,28 +81,17 @@ def negativity(rho: DensityMatrix, split: BipartiteSplit) -> float:
     return float(np.abs(eigenvalues[eigenvalues < 0]).sum())
 
 
-def two_qubit_separable(p1: float, p2: float, p3: float, p4: float) -> bool:
-    """Separability of the two-site Gibbs-form state with these four populations.
-
-    p1 and p4 weight the fully aligned product states, p2 and p3 the symmetric
-    and antisymmetric one-flip states (either order).  The boundary
-    4*p1*p4 = (p2 - p3)^2 counts as separable.
-    """
-    probs = (p1, p2, p3, p4)
-    if any(p < -PPT_ATOL for p in probs) or abs(sum(probs) - 1.0) > 1e-8:
-        raise ValueError(f"populations must be non-negative and sum to 1, got {probs}")
-    return 4.0 * p1 * p4 >= (p2 - p3) ** 2
-
-
-def critical_temperature_two_qubit(
-    params: ChainParams, tol: float = 1e-9, bracket: tuple[float, float] = (1e-6, 1e3)
-) -> float:
+def critical_temperature_two_qubit(params: ChainParams) -> float:
     """Temperature where the two-site thermal state crosses the PPT boundary.
 
-    Bisection on log(4*p1*p4) - log((p2 - p3)^2), which stays finite where the
-    raw populations underflow; the interval is narrowed below ``tol`` (well
-    inside the 1e-8 contract) and the result is independent of the field.
-    ``bracket`` and ``tol`` are in units of J, as kT_c is proportional to J.
+    The two-site Gibbs state has four populations: p1 and p4 on the fully
+    aligned product states, p2 and p3 on the symmetric and antisymmetric
+    one-flip states.  It is separable iff 4*p1*p4 >= (p2 - p3)^2.  Bisection
+    runs on log(4*p1*p4) - log((p2 - p3)^2), which stays finite where the raw
+    populations underflow, over the bracket ``_KT_BRACKET`` until the interval
+    is narrower than ``_KT_TOL`` (well inside the 1e-8 contract); both are in
+    units of J, as kT_c is proportional to J.  The result is independent of
+    the field.
     """
     if params.n != 2:
         raise ValueError(f"defined for chains of two spins, got n = {params.n}")
@@ -112,10 +105,10 @@ def critical_temperature_two_qubit(
         exchange = 2.0 * (hi + math.log1p(-math.exp(lo - hi)))
         return aligned - exchange
 
-    t_lo, t_hi = bracket
+    t_lo, t_hi = _KT_BRACKET
     if not (margin(t_lo) < 0.0 < margin(t_hi)):
-        raise NumericalError(f"separability boundary not bracketed in {bracket}")
-    while t_hi - t_lo > tol:
+        raise NumericalError(f"separability boundary not bracketed in {_KT_BRACKET}")
+    while t_hi - t_lo > _KT_TOL:
         mid = 0.5 * (t_lo + t_hi)
         if margin(mid) < 0.0:
             t_lo = mid

@@ -31,10 +31,3 @@ def finite_size_energy_density(n: int, b: float, j: float = 1.0) -> float:
     if isinstance(sector, tuple):
         sector = sector[0]  # degenerate pair: both energies coincide
     return ground_energy(params, sector) / n
-
-
-def crossing_density(omega: float) -> float:
-    """Continuum crossing field cos(pi*omega) for a sector fraction 0 < omega < 1."""
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"sector fraction must lie in (0, 1), got {omega!r}")
-    return math.cos(math.pi * omega)

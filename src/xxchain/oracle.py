@@ -14,6 +14,9 @@ import numpy as np
 
 from .params import MATRIX_CAP, ChainParams, NumericalError, check_cap
 
+# largest accepted eigenpair residual ||H v - e v||
+RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class DenseHamiltonian:
@@ -47,11 +50,11 @@ def build_hamiltonian(params: ChainParams) -> DenseHamiltonian:
     return DenseHamiltonian(dim, h)
 
 
-def diagonalize(h: DenseHamiltonian, residual_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def diagonalize(h: DenseHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Full eigensystem, eigenvalues ascending, eigenvectors as columns.
 
     The residual ||H v - e v|| of every pair is checked against
-    ``residual_tol`` and a :class:`NumericalError` is raised on failure.
+    ``RESIDUAL_TOL`` and a :class:`NumericalError` is raised on failure.
     """
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(h.entries)
@@ -59,6 +62,6 @@ def diagonalize(h: DenseHamiltonian, residual_tol: float = 1e-8) -> tuple[np.nda
         raise NumericalError(f"dense eigensolver failed to converge: {exc}") from exc
     residual = h.entries @ eigenvectors - eigenvectors * eigenvalues
     worst = float(np.sqrt(np.sum(residual * residual, axis=0)).max())
-    if worst > residual_tol:
-        raise NumericalError(f"eigenpair residual {worst:.3e} exceeds {residual_tol:.1e}")
+    if worst > RESIDUAL_TOL:
+        raise NumericalError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return eigenvalues, eigenvectors

@@ -22,20 +22,6 @@ DEGENERACY_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class ModeSpectrum:
-    """Single-fermion energies, ascending in the mode index (entry 0 = mode 1)."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        self.lambdas.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.lambdas.size
-
-
-@dataclass(frozen=True, eq=False)
 class CrossingSet:
     """Ground-state crossing fields b_k = j*cos(pi*k/(n+1)), descending in k."""
 
@@ -49,18 +35,17 @@ class CrossingSet:
         return self.fields_b.size
 
 
-def mode_energies(params: ChainParams) -> ModeSpectrum:
-    """Mode energies lam_k = 2*b - 2*j*cos(pi*k/(n+1)), k = 1..n."""
+def mode_energies(params: ChainParams) -> np.ndarray:
+    """Mode energies lam_k = 2*b - 2*j*cos(pi*k/(n+1)), k = 1..n (read-only; entry 0 = mode 1)."""
     k = np.arange(1, params.n + 1, dtype=float)
-    return ModeSpectrum(2.0 * params.b - 2.0 * params.j * np.cos(np.pi * k / (params.n + 1)))
+    lam = 2.0 * params.b - 2.0 * params.j * np.cos(np.pi * k / (params.n + 1))
+    lam.setflags(write=False)
+    return lam
 
 
 def crossing_fields(n: int, j: float = 1.0) -> CrossingSet:
     """The n fields where mode k changes sign, j*cos(pi*k/(n+1)), descending."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not j > 0:
-        raise ValueError(f"coupling must be positive, got {j!r}")
+    ChainParams(n=n, j=j)  # the one rule for n and j
     k = np.arange(1, n + 1, dtype=float)
     return CrossingSet(j * np.cos(np.pi * k / (n + 1)))
 
@@ -71,7 +56,7 @@ def mode_signs(params: ChainParams) -> np.ndarray:
     This is the one degeneracy rule: a zero mode may be empty or occupied at
     no cost, so the ground state is degenerate exactly where a sign is 0.
     """
-    lam = mode_energies(params).lambdas
+    lam = mode_energies(params)
     return np.where(np.abs(lam) <= DEGENERACY_ATOL, 0, np.sign(lam)).astype(np.int64)
 
 
@@ -100,7 +85,7 @@ def ground_energy(params: ChainParams, k: int) -> float:
 
 def energies_for_occupation_values(params: ChainParams, values: np.ndarray) -> np.ndarray:
     """Vectorized eigenenergies for occupation bitmasks given as integers."""
-    lam = mode_energies(params).lambdas
+    lam = mode_energies(params)
     out = np.empty(values.size, dtype=float)
     for start in range(0, values.size, _CHUNK):
         chunk = values[start : start + _CHUNK]
@@ -119,7 +104,7 @@ def enumerate_levels(params: ChainParams) -> np.ndarray:
 
 def log_partition_function(params: ChainParams, beta: float) -> float:
     """log Z = beta*n*b + sum_k log(1 + exp(-beta*lam_k)), overflow-safe."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
-    lam = mode_energies(params).lambdas
+    lam = mode_energies(params)
     return float(beta * params.n * params.b + np.sum(np.logaddexp(0.0, -beta * lam)))

@@ -88,14 +88,12 @@ class SpinBasisVector:
     def __post_init__(self):
         self.amplitudes.setflags(write=False)
 
-    def positions(self):
-        return itertools.combinations(range(1, self.n + 1), self.m)
-
-    def to_dense(self) -> np.ndarray:
-        """Embed into the full 2^n spin basis (bit l-1 of the index = site l flipped)."""
-        dense = np.zeros(1 << self.n)
-        dense[sector_basis_indices(self.n, self.m)] = self.amplitudes
-        return dense
+    @property
+    def positions(self) -> np.ndarray:
+        """Row r = the 1-based flipped sites of the r-th position tuple, ascending (read-only)."""
+        positions = _position_combos(self.n, self.m) + 1
+        positions.setflags(write=False)
+        return positions
 
 
 def _slater_rows(n: int, modes: np.ndarray) -> np.ndarray:

@@ -15,18 +15,18 @@ from functools import cached_property
 import numpy as np
 
 from .params import LEVEL_CAP, MATRIX_CAP, ChainParams, check_cap
-from .spectrum import DEGENERACY_ATOL, energies_for_occupation_values, mode_energies, mode_signs
+from .spectrum import energies_for_occupation_values, mode_energies, mode_signs
 from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices
 
 
 @dataclass(frozen=True, eq=False)
 class ThermalEnsemble:
-    """Boltzmann weights over all 2^n eigenstates, in global label order."""
+    """Boltzmann weights over all 2^n eigenstates, in global label order (read-only).
 
-    params: ChainParams
-    beta: float
+    log Z is not kept here: :func:`~xxchain.spectrum.log_partition_function` computes it.
+    """
+
     probabilities: np.ndarray
-    log_z: float
 
     def __post_init__(self):
         self.probabilities.setflags(write=False)
@@ -68,16 +68,6 @@ class DensityMatrix:
         entries = np.array(entries, dtype=float)
         return cls(entries.shape[0], ((np.arange(entries.shape[0]), entries),))
 
-    @classmethod
-    def from_state(cls, vector: np.ndarray) -> "DensityMatrix":
-        vector = np.asarray(vector, dtype=float)
-        return cls.from_matrix(np.outer(vector, vector))
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        dim = 1 << n
-        return cls.from_matrix(np.eye(dim) / dim)
-
 
 def label_energies(params: ChainParams) -> np.ndarray:
     """Eigenenergies of all 2^n states in global label order."""
@@ -87,13 +77,12 @@ def label_energies(params: ChainParams) -> np.ndarray:
 def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     """Normalized Boltzmann distribution p_l in label order, log-domain safe."""
     check_cap(params.n, LEVEL_CAP, "Boltzmann weight table")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
     n = params.n
     if beta == 0.0:
         # exact complete mixture (0.5**n is representable; exp/log would wobble ulps)
         probs = np.full(1 << n, 0.5**n)
-        log_z = n * math.log(2.0)
     elif math.isinf(beta):
         # ground states: every negative mode occupied, every positive one empty
         signs = mode_signs(params)
@@ -101,21 +90,11 @@ def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
         free = int(np.sum(bits[signs == 0]))
         mask = (label_occupations(n) & ~free) == int(np.sum(bits[signs < 0]))
         probs = mask / np.count_nonzero(mask)
-        lowest = label_energies(params).min()
-        if lowest < -DEGENERACY_ATOL:
-            log_z = math.inf
-        elif lowest > DEGENERACY_ATOL:
-            log_z = -math.inf
-        else:
-            log_z = math.log(np.count_nonzero(mask))
     else:
         energies = label_energies(params)
-        lowest = energies.min()
-        weights = np.exp(-beta * (energies - lowest))
-        total = float(weights.sum())
-        probs = weights / total
-        log_z = -beta * lowest + math.log(total)
-    return ThermalEnsemble(params, beta, probs, float(log_z))
+        weights = np.exp(-beta * (energies - energies.min()))
+        probs = weights / float(weights.sum())
+    return ThermalEnsemble(probs)
 
 
 def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
@@ -141,11 +120,11 @@ def purity_analytic(params: ChainParams, beta: float) -> float:
     decaying exponentials only).  beta = math.inf returns the limit: each
     zero mode (see :func:`mode_signs`) contributes 1/2, every other mode 1.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
     if math.isinf(beta):
         return float(np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0)))
-    lam = mode_energies(params).lambdas
+    lam = mode_energies(params)
     x = np.abs(beta * lam)
     decay = np.exp(-x)
     sech_sq_half = 4.0 * decay / (1.0 + decay) ** 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xxchain.entanglement
 from xxchain import (
     BipartiteSplit,
     ChainParams,
@@ -17,15 +18,31 @@ from xxchain import (
     negativity,
     partial_transpose,
     thermal_density_matrix,
-    two_qubit_separable,
 )
+from xxchain.entanglement import PPT_ATOL
 
 KT_C = 1 / math.log(1 + math.sqrt(2))
 SPLIT_11 = BipartiteSplit.of(2, (1,))
 
 
+def pure_density(vector):
+    return DensityMatrix.from_matrix(np.outer(vector, vector))
+
+
+def complete_mixture(n):
+    return DensityMatrix.from_matrix(np.eye(1 << n) / (1 << n))
+
+
 def singlet_density():
-    return DensityMatrix.from_state(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
+    return pure_density(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
+
+
+def four_population_state(p1, p2, p3, p4):
+    """The two-site Gibbs form: p1 on |up,up>, p4 on |down,down>, p2 and p3 on the symmetric and antisymmetric flips."""
+    flip, exchange = (p2 + p3) / 2, (p2 - p3) / 2
+    return DensityMatrix.from_matrix(
+        np.array([[p1, 0, 0, 0], [0, flip, exchange, 0], [0, exchange, flip, 0], [0, 0, 0, p4]])
+    )
 
 
 def test_split_construction_and_validation():
@@ -56,7 +73,7 @@ def test_partial_transpose_product_state_spectrum_unchanged():
 
 
 def test_partial_transpose_identity_fixed_point():
-    rho = DensityMatrix.maximally_mixed(2)
+    rho = complete_mixture(2)
     assert np.array_equal(partial_transpose(rho, SPLIT_11), rho.entries)
 
 
@@ -97,7 +114,7 @@ def test_partial_transpose_matches_tensor_transpose(case):
 @pytest.mark.parametrize("n,one_block", [(8, False), (10, False), (10, True)])
 def test_partial_transpose_holds_no_second_full_matrix(n, one_block):
     # built from the blocks: neither rho's full matrix nor a dim x dim index array appears
-    rho = DensityMatrix.maximally_mixed(n) if one_block else thermal_density_matrix(ChainParams(n=n, b=0.3), 2.0)
+    rho = complete_mixture(n) if one_block else thermal_density_matrix(ChainParams(n=n, b=0.3), 2.0)
     split = BipartiteSplit.of(n, range(1, n // 2 + 1))
     tracemalloc.start()
     try:
@@ -117,7 +134,7 @@ def test_negativity_singlet_and_product():
     assert negativity(singlet_density(), SPLIT_11) == pytest.approx(0.5, abs=1e-12)
     up = np.zeros(4)
     up[0] = 1.0
-    assert negativity(DensityMatrix.from_state(up), SPLIT_11) <= 1e-12
+    assert negativity(pure_density(up), SPLIT_11) <= 1e-12
 
 
 @pytest.mark.parametrize("b", [0.0, 0.7])
@@ -139,17 +156,10 @@ def test_negativity_dimension_mismatch():
 
 
 def test_two_qubit_separable_examples():
-    assert two_qubit_separable(0.25, 0.25, 0.25, 0.25)
-    assert not two_qubit_separable(0.0, 1.0, 0.0, 0.0)
-    # exact dyadic boundary point counts as separable
-    assert two_qubit_separable(0.125, 0.5, 0.25, 0.125)
-
-
-def test_two_qubit_separable_validation():
-    with pytest.raises(ValueError):
-        two_qubit_separable(0.5, 0.5, 0.5, -0.5)
-    with pytest.raises(ValueError):
-        two_qubit_separable(0.4, 0.4, 0.4, 0.4)
+    assert negativity(four_population_state(0.25, 0.25, 0.25, 0.25), SPLIT_11) <= PPT_ATOL
+    assert negativity(four_population_state(0.0, 1.0, 0.0, 0.0), SPLIT_11) == pytest.approx(0.5, abs=1e-12)
+    # exact dyadic boundary point 4*p1*p4 = (p2 - p3)^2 counts as separable
+    assert negativity(four_population_state(0.125, 0.5, 0.25, 0.125), SPLIT_11) <= PPT_ATOL
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.7, 1.5])
@@ -183,9 +193,10 @@ def test_critical_temperature_requires_two_sites():
         critical_temperature_two_qubit(ChainParams(n=3))
 
 
-def test_critical_temperature_bracket_failure():
+def test_critical_temperature_bracket_failure(monkeypatch):
+    monkeypatch.setattr(xxchain.entanglement, "_KT_BRACKET", (2.0, 3.0))
     with pytest.raises(NumericalError):
-        critical_temperature_two_qubit(ChainParams(n=2), bracket=(2.0, 3.0))
+        critical_temperature_two_qubit(ChainParams(n=2))
 
 
 def test_negativity_agrees_with_population_criterion():
@@ -193,7 +204,8 @@ def test_negativity_agrees_with_population_criterion():
         for t in (0.3, 0.8, 1.0, 1.3, 2.0):
             params = ChainParams(n=2, b=b)
             p = boltzmann_weights(params, 1 / t).probabilities
-            separable = two_qubit_separable(p[0], p[1], p[2], p[3])
+            # p[0], p[3]: aligned states; p[1], p[2]: symmetric and antisymmetric one-flip states
+            separable = 4.0 * p[0] * p[3] >= (p[1] - p[2]) ** 2
             entangled = negativity(thermal_density_matrix(params, 1 / t), SPLIT_11) > 1e-10
             assert separable == (not entangled), (b, t)
 

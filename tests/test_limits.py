@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xxchain import (
-    crossing_density,
     crossing_fields,
     finite_size_energy_density,
     thermo_energy_density,
@@ -110,24 +109,19 @@ def test_deviation_shrinks_monotonically(b):
 
 
 def test_crossing_density_values():
-    assert crossing_density(0.5) == pytest.approx(0.0, abs=1e-12)
-    assert crossing_density(1 / 3) == pytest.approx(0.5, abs=1e-12)
-    grid = np.linspace(0.01, 0.99, 50)
-    values = [crossing_density(float(w)) for w in grid]
-    assert all(later < earlier for earlier, later in zip(values, values[1:]))
+    fields = crossing_fields(5).fields_b  # sector fractions omega = k/6
+    assert fields[2] == pytest.approx(0.0, abs=1e-12)  # omega = 1/2
+    assert fields[1] == pytest.approx(0.5, abs=1e-12)  # omega = 1/3
+    assert np.all(np.diff(crossing_fields(49).fields_b) < 0)
 
 
 def test_crossing_density_matches_finite_size_fields():
-    n = 9
-    for k, field in enumerate(crossing_fields(n).fields_b, start=1):
-        assert crossing_density(k / (n + 1)) == pytest.approx(float(field), abs=1e-12)
-
-
-def test_crossing_density_domain():
-    with pytest.raises(ValueError):
-        crossing_density(0.0)
-    with pytest.raises(ValueError):
-        crossing_density(1.0)
+    # every chain's crossing fields sample one curve of the sector fraction omega = k/(n+1), cos(pi*omega)
+    base = crossing_fields(9).fields_b
+    assert base == pytest.approx(np.cos(np.pi * np.arange(1, 10) / 10), abs=1e-12)
+    for n in (19, 39, 79):
+        step = (n + 1) // 10
+        assert crossing_fields(n).fields_b[step - 1 :: step] == pytest.approx(base, abs=1e-12)
 
 
 def test_crossing_gaps_shrink_like_one_over_n():

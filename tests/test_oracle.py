@@ -79,7 +79,7 @@ def test_eigenvalue_multiset_over_coupling_grid(j, b):
 
 def test_diagonalize_residuals_within_contract():
     h = build_hamiltonian(ChainParams(n=6, b=0.31))
-    values, vectors = diagonalize(h, residual_tol=1e-10)
+    values, vectors = diagonalize(h)
     residual = h.entries @ vectors - vectors * values
     assert np.max(np.abs(residual)) < 1e-10
 

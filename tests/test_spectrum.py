@@ -43,23 +43,23 @@ def test_chain_params_validation():
 
 @pytest.mark.parametrize("b", [-1.0, 0.0, 0.37])
 def test_mode_energies_single_site(b):
-    lam = mode_energies(ChainParams(n=1, b=b)).lambdas
+    lam = mode_energies(ChainParams(n=1, b=b))
     assert lam == pytest.approx([2 * b], abs=1e-14)
 
 
 def test_mode_energies_two_sites_zero_field():
-    lam = mode_energies(ChainParams(n=2, b=0.0)).lambdas
+    lam = mode_energies(ChainParams(n=2, b=0.0))
     assert lam == pytest.approx([-1.0, 1.0], abs=1e-14)
 
 
 def test_mode_energies_four_sites_zero_field():
-    lam = mode_energies(ChainParams(n=4, b=0.0)).lambdas
+    lam = mode_energies(ChainParams(n=4, b=0.0))
     assert lam == pytest.approx([-1.618034, -0.618034, 0.618034, 1.618034], abs=1e-6)
 
 
 @given(n=st.integers(1, 60), b=fields, j=couplings)
 def test_mode_energies_strictly_increasing(n, b, j):
-    lam = mode_energies(ChainParams(n=n, j=j, b=b)).lambdas
+    lam = mode_energies(ChainParams(n=n, j=j, b=b))
     assert np.all(np.diff(lam) > 0)
 
 
@@ -82,7 +82,7 @@ def test_chain_params_rejects_overflowing_energies(n, big, sign, on_field):
             ChainParams(n=n, j=j, b=b)
         return
     params = ChainParams(n=n, j=j, b=b)
-    lam = mode_energies(params).lambdas
+    lam = mode_energies(params)
     # the extreme levels: no mode, every negative mode, every positive mode, every mode
     negative = sum(1 << k for k in range(n) if lam[k] < 0)
     values = np.array([0, negative, (1 << n) - 1 - negative, (1 << n) - 1], dtype=np.int64)
@@ -93,8 +93,8 @@ def test_chain_params_rejects_overflowing_energies(n, big, sign, on_field):
 
 @given(n=st.integers(1, 40), b=fields, j=couplings)
 def test_particle_hole_symmetry(n, b, j):
-    plus = mode_energies(ChainParams(n=n, j=j, b=b)).lambdas
-    minus = mode_energies(ChainParams(n=n, j=j, b=-b)).lambdas
+    plus = mode_energies(ChainParams(n=n, j=j, b=b))
+    minus = mode_energies(ChainParams(n=n, j=j, b=-b))
     assert plus == pytest.approx(-minus[::-1], abs=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_eigenenergy_single_flip_two_sites_field_free(b):
 def test_eigenenergy_equals_occupied_mode_sum(n, b, j, data):
     value = data.draw(st.integers(0, 2**n - 1))
     params = ChainParams(n=n, j=j, b=b)
-    lam = mode_energies(params).lambdas
+    lam = mode_energies(params)
     expected = sum(lam[k] for k in range(n) if (value >> k) & 1) - n * b
     assert eigenenergy(params, value) == pytest.approx(expected, abs=1e-10)
 
@@ -138,6 +138,12 @@ def test_ground_sector_reports_degenerate_pair():
     fields_b = crossing_fields(4).fields_b
     for index, field in enumerate(fields_b):
         assert ground_sector(ChainParams(n=4, b=float(field))) == (index, index + 1)
+
+
+@pytest.mark.parametrize("n,j", [(3, math.inf), (3, math.nan), (2.5, 1.0), (True, 1.0)])
+def test_crossing_fields_rejects_what_chain_params_rejects(n, j):
+    with pytest.raises(ValueError):
+        crossing_fields(n, j)
 
 
 def test_crossing_fields_values():

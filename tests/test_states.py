@@ -19,11 +19,18 @@ from xxchain import (
     label_to_sector_index,
     sector_index_to_label,
 )
-from xxchain.states import sector_amplitude_matrix
+from xxchain.states import sector_amplitude_matrix, sector_basis_indices
 
 A1_MINUS = 0.5 * math.sqrt(1 - 1 / math.sqrt(5))
 A1_PLUS = 0.5 * math.sqrt(1 + 1 / math.sqrt(5))
 A2 = -1 / (2 * math.sqrt(5))
+
+
+def dense_vector(state):
+    """The state embedded in the full 2^n spin basis (bit l-1 of the index = site l flipped)."""
+    dense = np.zeros(1 << state.n)
+    dense[sector_basis_indices(state.n, state.m)] = state.amplitudes
+    return dense
 
 
 def assert_equal_up_to_sign(actual, expected, abs_tol):
@@ -119,7 +126,7 @@ def test_build_eigenstate_vacuum():
     state = ground_state(3, 0)
     assert state.m == 0
     assert state.amplitudes == pytest.approx([1.0])
-    assert state.to_dense()[0] == 1.0
+    assert dense_vector(state)[0] == 1.0
     assert np.array_equal(sector_amplitude_matrix(3, 0)[0], state.amplitudes)
 
 
@@ -131,15 +138,15 @@ def test_build_eigenstate_one_flip_pattern():
 def test_build_eigenstate_two_flip_pattern():
     row = sector_amplitude_matrix(4, 2)[0]
     expected = [A2 * c for c in (1, math.sqrt(5), 2, 2, math.sqrt(5), 1)]
-    assert list(ground_state(4, 2).positions()) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert ground_state(4, 2).positions.tolist() == [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
     assert row == pytest.approx(expected, abs=1e-12)
     assert row[1] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ground_state_product_endpoints():
-    up = ground_state(4, 0).to_dense()
+    up = dense_vector(ground_state(4, 0))
     assert up[0] == 1.0 and np.count_nonzero(up) == 1
-    down = ground_state(4, 4).to_dense()
+    down = dense_vector(ground_state(4, 4))
     assert abs(down[15]) == pytest.approx(1.0, abs=1e-12) and np.count_nonzero(down) == 1
 
 
@@ -211,7 +218,7 @@ def test_oracle_eigenvectors_match_by_projector(n, b):
 
 def test_ground_states_mutually_orthogonal():
     n = 5
-    dense = [ground_state(n, k).to_dense() for k in range(n + 1)]
+    dense = [dense_vector(ground_state(n, k)) for k in range(n + 1)]
     for a, b in itertools.combinations(range(n + 1), 2):
         assert abs(dense[a] @ dense[b]) < 1e-12
 
@@ -269,7 +276,8 @@ def test_combination_rank_lexicographic():
     # column c of a sector table is the c-th ascending position tuple in lex order
     state = ground_state(6, 3)
     combos = list(itertools.combinations(range(1, 7), 3))
-    assert list(state.positions()) == combos
-    dense = state.to_dense()
+    assert list(map(tuple, state.positions.tolist())) == combos
+    assert not state.positions.flags.writeable
+    dense = dense_vector(state)
     for rank, combo in enumerate(combos):
         assert dense[sum(1 << (p - 1) for p in combo)] == state.amplitudes[rank]

@@ -17,6 +17,7 @@ from xxchain import (
     ground_sector,
     ground_state,
     label_energies,
+    log_partition_function,
     purity_analytic,
     purity_dense,
     sector_index_to_label,
@@ -26,6 +27,17 @@ from xxchain import (
 
 def crossing_field(n, index):
     return float(crossing_fields(n).fields_b[index])
+
+
+def pure_density(state):
+    """|state><state| of a sector eigenstate, as one block over the full spin basis."""
+    vector = np.zeros(1 << state.n)
+    vector[xxchain.states.sector_basis_indices(state.n, state.m)] = state.amplitudes
+    return DensityMatrix.from_matrix(np.outer(vector, vector))
+
+
+def complete_mixture(n):
+    return DensityMatrix.from_matrix(np.eye(1 << n) / (1 << n))
 
 
 def scattered_gibbs_state(params, beta):
@@ -46,9 +58,9 @@ def scattered_gibbs_state(params, beta):
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_weights_infinite_temperature_exactly_uniform(n):
-    ensemble = boltzmann_weights(ChainParams(n=n, b=0.4), 0.0)
-    assert np.all(ensemble.probabilities == 0.5**n)
-    assert ensemble.log_z == pytest.approx(n * math.log(2), rel=1e-14)
+    params = ChainParams(n=n, b=0.4)
+    assert np.all(boltzmann_weights(params, 0.0).probabilities == 0.5**n)
+    assert log_partition_function(params, 0.0) == pytest.approx(n * math.log(2), rel=1e-14)
 
 
 @pytest.mark.parametrize("beta,b", [(0.6, 0.9), (3.0, -0.2)])
@@ -80,17 +92,24 @@ def test_weights_normalized(n, b, beta):
     assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [math.nan, -0.1])
+@pytest.mark.parametrize(
+    "function", [log_partition_function, boltzmann_weights, purity_analytic, thermal_density_matrix]
+)
+def test_inverse_temperature_must_be_non_negative(function, beta):
+    with pytest.raises(ValueError):
+        function(ChainParams(n=3, b=0.2), beta)
+
+
 def test_weights_cap():
     with pytest.raises(SizeLimitError):
         boltzmann_weights(ChainParams(n=21), 1.0)
 
 
 def test_weights_match_closed_form_log_z():
-    from xxchain import log_partition_function
-
     params = ChainParams(n=7, j=1.4, b=-0.6)
-    ensemble = boltzmann_weights(params, 2.3)
-    assert ensemble.log_z == pytest.approx(log_partition_function(params, 2.3), rel=1e-12)
+    expected = np.exp(-2.3 * label_energies(params) - log_partition_function(params, 2.3))
+    assert boltzmann_weights(params, 2.3).probabilities == pytest.approx(expected, rel=1e-12)
 
 
 def test_density_matrix_infinite_temperature_is_complete_mixture():
@@ -192,9 +211,8 @@ def test_purity_analytic_matches_dense(n, b, beta):
 
 
 def test_purity_pure_projector_and_mixture():
-    vector = ground_state(4, 2).to_dense()
-    assert purity_dense(DensityMatrix.from_state(vector)) == pytest.approx(1.0, abs=1e-12)
-    assert purity_dense(DensityMatrix.maximally_mixed(4)) == pytest.approx(2.0**-4, abs=1e-15)
+    assert purity_dense(pure_density(ground_state(4, 2))) == pytest.approx(1.0, abs=1e-12)
+    assert purity_dense(complete_mixture(4)) == pytest.approx(2.0**-4, abs=1e-15)
 
 
 def test_purity_monotone_nonincreasing_in_temperature():
@@ -222,15 +240,14 @@ def test_free_energy_identity():
         energy = float(np.einsum("ij,ji->", rho.entries, h))
         p = ensemble.probabilities[ensemble.probabilities > 0]
         free = energy + float(np.sum(p * np.log(p))) / beta
-        assert free == pytest.approx(-ensemble.log_z / beta, abs=1e-8)
+        assert free == pytest.approx(-log_partition_function(params, beta) / beta, abs=1e-8)
 
 
 def test_crossing_mixture_structure_and_purity():
     rho = crossing_mixture(4, 0)
     up = np.zeros(16)
     up[0] = 1.0
-    one = ground_state(4, 1).to_dense()
-    expected = 0.5 * (np.outer(up, up) + np.outer(one, one))
+    expected = 0.5 * (np.outer(up, up) + pure_density(ground_state(4, 1)).entries)
     assert np.max(np.abs(rho.entries - expected)) < 1e-14
     assert abs(purity_dense(rho) - 0.5) < 1e-14
 
@@ -294,7 +311,7 @@ def test_blocked_gibbs_state_holds_one_block_per_sector():
 
 def test_blocks_and_full_matrix_of_other_states_agree():
     vector = np.linspace(-1.0, 1.0, 8) / np.linalg.norm(np.linspace(-1.0, 1.0, 8))
-    for rho in (DensityMatrix.from_state(vector), DensityMatrix.maximally_mixed(3), crossing_mixture(5, 2)):
+    for rho in (DensityMatrix.from_matrix(np.outer(vector, vector)), complete_mixture(3), crossing_mixture(5, 2)):
         assert purity_dense(rho) == float(np.einsum("ij,ji->", rho.entries, rho.entries))
 
 

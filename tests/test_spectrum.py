@@ -50,6 +50,7 @@ def test_mode_energies_single_site(b):
 def test_mode_energies_two_sites_zero_field():
     lam = mode_energies(ChainParams(n=2, b=0.0))
     assert lam == pytest.approx([-1.0, 1.0], abs=1e-14)
+    assert not lam.flags.writeable
 
 
 def test_mode_energies_four_sites_zero_field():

@@ -24,14 +24,8 @@ import numpy as np
 from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativity
 from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
-from .params import MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
-from .spectrum import (
-    _CHUNK,
-    crossing_fields,
-    enumerate_levels,
-    ground_energy,
-    log_partition_function,
-)
+from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
+from .spectrum import crossing_fields, enumerate_levels, ground_energy, log_partition_function
 from .states import bit_counts, eigenbasis_matrix, ground_state, label_occupations
 from .thermal import (
     boltzmann_weights,
@@ -66,6 +60,8 @@ class AxisRange:
             raise UsageError(f"range needs steps >= 1, got {self.steps}")
         if self.min > self.max:
             raise UsageError(f"range needs min <= max, got {self.min}:{self.max}")
+        if not math.isfinite(self.max - self.min):
+            raise UsageError(f"range span max - min overflows, got {self.min}:{self.max}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.steps)
@@ -359,12 +355,13 @@ def _write_report(checks, columns, config: RunConfig, extra_meta: dict) -> None:
 # --- output -------------------------------------------------------------------
 
 
-def _chunks(blocks: Iterable[dict]) -> Iterator[tuple[dict, int, int]]:
-    """(block, start, count) for each run of at most _CHUNK rows of each block."""
+def _chunks(blocks: Iterable[dict], columns) -> Iterator[tuple[dict, int, int]]:
+    """(block, start, count) for each run of rows of each block with at most CHUNK_ENTRIES cells."""
+    step = max(1, CHUNK_ENTRIES // len(columns))
     for block in blocks:
         size = max((len(value) for value in block.values() if isinstance(value, np.ndarray)), default=1)
-        for start in range(0, size, _CHUNK):
-            yield block, start, min(_CHUNK, size - start)
+        for start in range(0, size, step):
+            yield block, start, min(step, size - start)
 
 
 def _csv_cells(values: list) -> list[str]:
@@ -391,7 +388,7 @@ def _csv_chunk(block: dict, start: int, count: int, columns) -> str:
 def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:
     """The header, then one string per chunk."""
     yield ",".join(columns) + "\n"
-    for block, start, count in _chunks(blocks):
+    for block, start, count in _chunks(blocks, columns):
         yield _csv_chunk(block, start, count, columns)
 
 
@@ -408,7 +405,7 @@ def _json_text(blocks: Iterable[dict], columns, meta: dict) -> Iterator[str]:
     head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
     yield head + "["
     separator = "\n"
-    for block, start, count in _chunks(blocks):
+    for block, start, count in _chunks(blocks, columns):
         yield separator + _json_chunk(block, start, count, columns)
         separator = ",\n"
     yield ("]" if separator == "\n" else "\n  ]") + tail + "\n"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ChainParams, NumericalError
+from .params import CHUNK_ENTRIES, ChainParams, NumericalError
 from .thermal import DensityMatrix, label_energies
 
 PPT_ATOL = 1e-12
@@ -15,9 +15,6 @@ PPT_ATOL = 1e-12
 # bisection for kT_c / J: initial bracket and the interval width it stops at
 _KT_BRACKET = (1e-6, 1e3)
 _KT_TOL = 1e-9
-
-# block entries per partial-transpose scatter: bounds its index array for a one-block state
-_SCATTER_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
         kept, swapped = indices & ~mask, indices & mask
         # kept and swapped bits are disjoint, so the flat target index is a sum of a row and a column term
         row_term, column_term = kept * rho.dim + swapped, swapped * rho.dim + kept
-        step = max(1, _SCATTER_ENTRIES // len(indices))
+        step = max(1, CHUNK_ENTRIES // len(indices))
         for start in range(0, len(indices), step):
             rows = slice(start, start + step)
             flat[row_term[rows, None] + column_term] = block[rows]

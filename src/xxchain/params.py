@@ -12,6 +12,9 @@ from dataclasses import dataclass
 LEVEL_CAP = 20
 MATRIX_CAP = 12
 
+# The one working-memory budget: every chunked loop holds at most this many entries per step.
+CHUNK_ENTRIES = 1 << 14
+
 
 class SizeLimitError(ValueError):
     """Chain length exceeds the cap for an exponential-cost operation."""

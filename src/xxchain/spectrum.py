@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LEVEL_CAP, ChainParams, check_cap
+from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_cap
 
-_CHUNK = 1 << 14
 DEGENERACY_ATOL = 1e-12
 
 
@@ -84,14 +83,20 @@ def ground_energy(params: ChainParams, k: int) -> float:
 
 
 def energies_for_occupation_values(params: ChainParams, values: np.ndarray) -> np.ndarray:
-    """Vectorized eigenenergies for occupation bitmasks given as integers."""
+    """Vectorized eigenenergies for occupation bitmasks given as integers.
+
+    The rows go through ``bits @ lam`` in steps of a power of two with at most
+    CHUNK_ENTRIES bits each; such steps give the bits of one whole-array product.
+    """
     lam = mode_energies(params)
     out = np.empty(values.size, dtype=float)
-    for start in range(0, values.size, _CHUNK):
-        chunk = values[start : start + _CHUNK]
+    step = 1 << max(0, (CHUNK_ENTRIES // params.n).bit_length() - 1)
+    for start in range(0, values.size, step):
+        chunk = values[start : start + step]
         bits = ((chunk[:, None] >> np.arange(params.n)) & 1).astype(float)
         out[start : start + chunk.size] = bits @ lam
-    return out - params.n * params.b
+    out -= params.n * params.b
+    return out
 
 
 def enumerate_levels(params: ChainParams) -> np.ndarray:

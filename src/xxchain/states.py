@@ -26,11 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import MATRIX_CAP, check_cap
-
-
-# gathered sine entries per batched np.linalg.det call: bounds the build's working memory
-_CHUNK_ENTRIES = 1 << 14
+from .params import CHUNK_ENTRIES, MATRIX_CAP, check_cap
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +104,7 @@ def _slater_rows(n: int, modes: np.ndarray) -> np.ndarray:
     positions = _position_combos(n, m)
     table = _sine_table(n)
     per_state = positions.size * m  # C(n, m) blocks of m x m entries
-    step = max(1, _CHUNK_ENTRIES // max(per_state, 1))
+    step = max(1, CHUNK_ENTRIES // max(per_state, 1))
     rows = np.empty((count, positions.shape[0]))
     for start in range(0, count, step):
         blocks = table[modes[start : start + step]][:, :, positions]  # [state, a, tuple, b]

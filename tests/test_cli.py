@@ -9,6 +9,7 @@ import os
 import re
 import stat
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -92,12 +93,16 @@ def test_non_finite_input_is_usage_error(flag, value):
     ["ground-state", "--n", "4", "--k", "5"],
     ["purity", "--n", "3", "--b", "0", "--t", "1", "--dense-cap", "-1"],
     ["purity", "--n", "3", "--b", "0", "--t", "1", "--dense-cap", "13"],
+    # finite range ends whose span max - min overflows, which np.linspace would turn into nan fields
+    ["spectrum", "--n", "3", "--b-range", "-1e308:1e308:3"],
+    ["thermo-limit", "--sizes", "4", "--b-range", "-1.5e308:1.5e308:2"],
 ])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 @settings(deadline=None)
@@ -379,8 +384,9 @@ def _reference_csv_cell(value):
 
 
 @settings(deadline=None, max_examples=40)
-@given(blocks=st.lists(column_blocks(), max_size=4), chunk=st.integers(1, 3))
-def test_streamed_output_matches_whole_document_rendering(blocks, chunk):
+@given(blocks=st.lists(column_blocks(), max_size=4), cells=st.integers(1, 12))
+def test_streamed_output_matches_whole_document_rendering(blocks, cells):
+    # a budget of 1-12 cells over three columns breaks chunks every 1-4 rows
     rows = [row for block in blocks for row in _rows_of(block)]
     expected_csv = io.StringIO()
     writer = csv.writer(expected_csv, lineterminator="\n")
@@ -389,13 +395,27 @@ def test_streamed_output_matches_whole_document_rendering(blocks, chunk):
     as_json = RunConfig("test", format="json")
     extra = {"subcommand": "test", "note": [1, 2]}
     expected_json = json.dumps({"meta": {**dataclasses.asdict(as_json), **extra}, "rows": rows}, indent=2) + "\n"
-    with mock.patch("xxchain.cli._CHUNK", chunk):
+    with mock.patch("xxchain.cli.CHUNK_ENTRIES", cells):
         for config, extra_meta, expected in [(RunConfig("test"), None, expected_csv.getvalue()),
                                              (as_json, extra, expected_json)]:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 emit(iter(blocks), ["a", "b", "c"], config, extra_meta)
             assert out.getvalue() == expected
+
+
+def test_json_output_memory_is_chunked_by_cells(tmp_path):
+    # thermal writes 9 columns; 2^14 whole rows per chunk held about 33 MB of JSON values and text at n = 14
+    target = tmp_path / "thermal.json"
+    tracemalloc.start()
+    try:
+        code = run(["thermal", "--n", "14", "--b", "0.3", "--t", "0.5", "--format", "json", "-o", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(target.read_text())["rows"]) == 1 << 14
+    assert peak < 8 << 20
 
 
 def test_cap_error_writes_no_byte(capsys):

@@ -1,9 +1,10 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xxchain import (
@@ -208,6 +209,30 @@ def test_enumerate_levels_count_and_order():
     assert energies.shape == (16,)
     assert not energies.flags.writeable
     assert energies.tolist() == pytest.approx([eigenenergy(params, value) for value in range(16)], abs=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(1, 16), b=fields, j=couplings)
+@example(n=16, b=0.3, j=1.0)
+@example(n=16, b=-1.7, j=0.37)
+def test_chunked_enumeration_matches_one_whole_array_product(n, b, j):
+    # the row step is a power of two; a 1,638-row step at n = 16 changes bits here
+    params = ChainParams(n=n, j=j, b=b)
+    values = np.arange(1 << n, dtype=np.int64)
+    whole = ((values[:, None] >> np.arange(n)) & 1).astype(float) @ mode_energies(params) - n * b
+    assert np.array_equal(energies_for_occupation_values(params, values), whole)
+
+
+def test_enumerate_levels_memory_is_chunked():
+    # (rows x n) bit temporaries of 2^14 rows took about 6.5 MB at n = 16; the output is 0.5 MB
+    params = ChainParams(n=16, b=0.3)
+    tracemalloc.start()
+    try:
+        energies = enumerate_levels(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - energies.nbytes < 1 << 20
 
 
 def test_enumerate_levels_cap_is_checked_eagerly():

@@ -25,7 +25,7 @@ from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qub
 from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
-from .spectrum import crossing_fields, enumerate_levels, ground_energy, log_partition_function
+from .spectrum import crossing_fields, enumerate_levels, ground_energy, level_runs, log_partition_function
 from .states import bit_counts, eigenbasis_matrix, ground_state, label_occupations
 from .thermal import (
     boltzmann_weights,
@@ -203,18 +203,14 @@ def _points(config: RunConfig):
             yield b, t, math.inf if t == 0 else 1.0 / t, params
 
 
-# --- row builders: each yields column blocks, one per field or per point --------
+# --- row builders: each yields column blocks, of at most CHUNK_ENTRIES rows or one per field or point ---
 # A block maps a column to a numpy array (one entry per row) or to one value for every row.
 
 
 def _rows_spectrum(config: RunConfig):
-    integers = None  # occupation and m, shared by every field
     for b in _field_grid(config):
-        energy = enumerate_levels(ChainParams(n=config.n, j=config.j, b=b))  # checks the level cap first
-        if integers is None:
-            occupation = np.arange(energy.size, dtype=np.int64)
-            integers = {"occupation": occupation, "m": bit_counts(occupation, config.n)}
-        yield {"n": config.n, "b": b, **integers, "energy": energy}
+        for values, energy in level_runs(ChainParams(n=config.n, j=config.j, b=b)):  # checks the level cap first
+            yield {"n": config.n, "b": b, "occupation": values, "m": bit_counts(values, config.n), "energy": energy}
 
 
 def _rows_ground_state(config: RunConfig):
@@ -228,16 +224,15 @@ def _rows_crossings(config: RunConfig):
 
 
 def _rows_thermal(config: RunConfig):
-    labels = None  # l, r and m, shared by every point
+    before = np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])  # labels below sector m
     for b, t, beta, params in _points(config):
         probability = boltzmann_weights(params, beta).probabilities  # checks the level cap first
-        if labels is None:
-            m = bit_counts(label_occupations(config.n), config.n)
-            l = np.arange(1, m.size + 1)
-            r = l - np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])[m]  # l = r + sum_{s<m} C(n, s)
-            labels = {"l": l, "r": r, "m": m}
-        yield {"n": config.n, "b": b, "t": t, "beta": beta, **labels,
-               "energy": label_energies(params), "probability": probability}
+        energy = label_energies(params)
+        for start in range(0, energy.size, CHUNK_ENTRIES):
+            m = bit_counts(label_occupations(config.n)[start : start + CHUNK_ENTRIES], config.n)
+            l = np.arange(start + 1, start + m.size + 1)
+            yield {"n": config.n, "b": b, "t": t, "beta": beta, "l": l, "r": l - before[m], "m": m,
+                   "energy": energy[start : start + m.size], "probability": probability[start : start + m.size]}
 
 
 def _rows_purity(config: RunConfig):

@@ -5,13 +5,14 @@ mode energy lam_k = 2*b - 2*j*cos(pi*k/(n+1)); the all-spins-up product state
 is the mode vacuum at energy -n*b, and occupying mode k adds lam_k.  The
 fields where lam_k changes sign, b_k = j*cos(pi*k/(n+1)), are where the
 ground state hops between adjacent magnetization sectors.  The full spectrum,
-:func:`enumerate_levels`, is one array of all 2^n energies in bitmask order:
-entry v is the level whose occupied modes are the set bits of v.
+:func:`enumerate_levels`, is one array of all 2^n energies in bitmask order
+(:func:`level_runs` streams it): entry v is the level whose occupied modes are the set bits of v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -99,10 +100,20 @@ def energies_for_occupation_values(params: ChainParams, values: np.ndarray) -> n
     return out
 
 
-def enumerate_levels(params: ChainParams) -> np.ndarray:
-    """All 2^n level energies (read-only), entry v = occupation bitmask v (bit k-1 = mode k)."""
+def level_runs(params: ChainParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(occupations, energies) of all 2^n levels in bitmask order, CHUNK_ENTRIES at a time; checks the cap now."""
     check_cap(params.n, LEVEL_CAP, "level enumeration")
-    energies = energies_for_occupation_values(params, np.arange(1 << params.n, dtype=np.int64))
+    size = 1 << params.n  # runs start at multiples of the power of two CHUNK_ENTRIES: whole-array product bits
+    runs = (np.arange(v, min(v + CHUNK_ENTRIES, size), dtype=np.int64) for v in range(0, size, CHUNK_ENTRIES))
+    return ((values, energies_for_occupation_values(params, values)) for values in runs)
+
+
+def enumerate_levels(params: ChainParams) -> np.ndarray:
+    """All 2^n level energies (read-only), entry v = occupation bitmask v (bit k-1 = mode k), filled run by run."""
+    runs = level_runs(params)  # checks the level cap before the output is allocated
+    energies = np.empty(1 << params.n)
+    for occupations, run in runs:
+        energies[occupations[0] : occupations[0] + run.size] = run
     energies.setflags(write=False)
     return energies
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,9 +69,12 @@ class DensityMatrix:
         return cls(entries.shape[0], ((np.arange(entries.shape[0]), entries),))
 
 
+@lru_cache(maxsize=1)
 def label_energies(params: ChainParams) -> np.ndarray:
-    """Eigenenergies of all 2^n states in global label order."""
-    return energies_for_occupation_values(params, label_occupations(params.n))
+    """Eigenenergies of all 2^n states in global label order (read-only; the last chain's are kept)."""
+    energies = energies_for_occupation_values(params, label_occupations(params.n))
+    energies.setflags(write=False)
+    return energies
 
 
 def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
@@ -92,8 +95,9 @@ def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
         probs = mask / np.count_nonzero(mask)
     else:
         energies = label_energies(params)
-        weights = np.exp(-beta * (energies - energies.min()))
-        probs = weights / float(weights.sum())
+        probs = np.subtract(energies, energies.min())  # then in place: -beta * (E - E_min), exp, normalize
+        np.exp(np.multiply(probs, -beta, out=probs), out=probs)
+        probs /= float(probs.sum())
     return ThermalEnsemble(probs)
 
 

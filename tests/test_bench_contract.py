@@ -24,7 +24,7 @@ CASES = {
     "validate --n 4": ["oracle.diagonalize.dim", "states.sector_amplitude_matrix.dets"],
     "negativity --n 4 --b 0.3 --t 0.5": ["entanglement.negativity.dim"],
     "purity --n 4 --b 0.3 --t-range 0:1:3 --format json": ["thermal.thermal_density_matrix.bytes"],
-    "spectrum --n 6 --b 0.2": ["spectrum.enumerate_levels.calls"],
+    "spectrum --n 6 --b 0.2": ["spectrum.level_runs.calls", "spectrum.level_runs.levels"],
 }
 
 

@@ -16,11 +16,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xxchain.cli import _SUBCOMMANDS, RunConfig, emit, run
-from xxchain.params import NumericalError
+from xxchain.cli import _SUBCOMMANDS, AxisRange, RunConfig, emit, run
+from xxchain.params import ChainParams, NumericalError
+from xxchain.spectrum import enumerate_levels
+from xxchain.states import label_occupations
+from xxchain.thermal import boltzmann_weights
 
 CROSSINGS_N4 = (
     "k,b_k\n"
@@ -402,6 +405,99 @@ def test_streamed_output_matches_whole_document_rendering(blocks, cells):
             with contextlib.redirect_stdout(out):
                 emit(iter(blocks), ["a", "b", "c"], config, extra_meta)
             assert out.getvalue() == expected
+
+
+def _reference_document(config, columns, rows):
+    """The whole document at once: csv.writer rows, or one json.dumps."""
+    if config.format == "json":
+        return json.dumps({"meta": dataclasses.asdict(config), "rows": rows}, indent=2) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_reference_csv_cell(row[name]) for name in columns] for row in rows)
+    return text.getvalue()
+
+
+def _reference_level_rows(config):
+    """spectrum or thermal rows from whole arrays: enumerate_levels per field, the whole label order."""
+    n, fields = config.n, config.b_range.grid().tolist()
+    if config.subcommand == "spectrum":
+        return [{"n": n, "b": b, "occupation": v, "m": bin(v).count("1"), "energy": energy}
+                for b in fields for v, energy in enumerate(enumerate_levels(ChainParams(n=n, b=b)).tolist())]
+    occupations = label_occupations(n)
+    sectors = [bin(v).count("1") for v in occupations.tolist()]
+    first = {}  # sector -> its first label
+    ranks = [l - first.setdefault(m, l) + 1 for l, m in enumerate(sectors, 1)]
+    beta = math.inf if config.t == 0 else 1.0 / config.t
+    rows = []
+    for b in fields:
+        params = ChainParams(n=n, b=b)
+        columns = zip(ranks, sectors, enumerate_levels(params)[occupations].tolist(),
+                      boltzmann_weights(params, beta).probabilities.tolist())
+        rows += [{"n": n, "b": b, "t": config.t, "beta": beta, "l": l, "r": r, "m": m, "energy": energy,
+                  "probability": probability} for l, (r, m, energy, probability) in enumerate(columns, 1)]
+    return rows
+
+
+def _run_to_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    return out.getvalue()
+
+
+# (lo, hi, steps) of --b-range; -0.0:-0.0:2 is the grid [0.0, -0.0], two chains that compare equal
+FIELD_RANGES = st.one_of(st.sampled_from([(-0.0, -0.0, 1), (-0.0, -0.0, 2)]),
+                         st.tuples(st.floats(-2, 0), st.floats(0, 2), st.integers(1, 2)))
+
+
+@settings(deadline=None, max_examples=20)
+@given(subcommand=st.sampled_from(["spectrum", "thermal"]), n=st.integers(1, 14), field_range=FIELD_RANGES,
+       t=st.sampled_from([0.0, 0.5, 1.7]), fmt=st.sampled_from(["csv", "json"]), cells=st.integers(1, 40))
+@example("spectrum", 14, (-0.0, -0.0, 2), 0.0, "json", 7)
+@example("thermal", 12, (-0.0, -0.0, 2), 0.0, "csv", 1)
+def test_streamed_level_rows_match_whole_array_rendering(subcommand, n, field_range, t, fmt, cells):
+    # spectrum streams runs of 2^14 levels and thermal blocks of CHUNK_ENTRIES labels; a budget of a few
+    # cells cuts thermal into blocks of 1-40 rows and both into text chunks of 1-8 rows
+    lo, hi, steps = field_range
+    config = RunConfig(subcommand, n=n, b_range=AxisRange(lo, hi, steps), t=t if subcommand == "thermal" else None,
+                       format=fmt)
+    argv = [subcommand, "--n", str(n), "--b-range", f"{lo!r}:{hi!r}:{steps}", "--format", fmt]
+    argv += ["--t", repr(t)] if subcommand == "thermal" else []
+    with mock.patch("xxchain.cli.CHUNK_ENTRIES", cells):
+        streamed = _run_to_text(argv)
+    assert streamed == _run_to_text(argv)
+    assert streamed == _reference_document(config, _SUBCOMMANDS[subcommand].columns, _reference_level_rows(config))
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_memory_does_not_grow_with_n(tmp_path):
+    # one run of 2^14 levels and one text chunk of 2^14 cells at a time; whole 2^n columns took 10.3 MB at n = 18
+    target = str(tmp_path / "spectrum.csv")
+    _run_to_text(["spectrum", "--n", "2", "--b", "0"])  # one-time set-up is not part of a run's peak
+    small = _traced_peak(["spectrum", "--n", "14", "--b-range", "-1:1:2", "-o", target])
+    large = _traced_peak(["spectrum", "--n", "18", "--b-range", "-1:1:2", "-o", target])
+    assert large < 2 << 20
+    assert large < small + (1 << 18)
+
+
+def test_thermal_memory_holds_no_whole_label_column(tmp_path):
+    # energy and probability are whole 2^n columns, while l, r and m are built per block: from n = 15 to 16
+    # the peak grows by two 2^15-entry columns, and by five when l, r and m were whole as well
+    target = str(tmp_path / "thermal.csv")
+    peaks = []
+    for n, b in ((15, 0.29), (16, 0.31)):  # two chains, so each run computes its label energies
+        label_occupations(n)  # cached for the process, not per run
+        peaks.append(_traced_peak(["thermal", "--n", str(n), "--b", str(b), "--t", "0.5", "-o", target]))
+    assert peaks[1] - peaks[0] < 3 * 8 << 15
 
 
 def test_json_output_memory_is_chunked_by_cells(tmp_path):

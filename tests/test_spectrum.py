@@ -17,7 +17,7 @@ from xxchain import (
     log_partition_function,
     mode_energies,
 )
-from xxchain.spectrum import energies_for_occupation_values
+from xxchain.spectrum import energies_for_occupation_values, level_runs
 
 
 def eigenenergy(params, value):
@@ -216,11 +216,14 @@ def test_enumerate_levels_count_and_order():
 @example(n=16, b=0.3, j=1.0)
 @example(n=16, b=-1.7, j=0.37)
 def test_chunked_enumeration_matches_one_whole_array_product(n, b, j):
-    # the row step is a power of two; a 1,638-row step at n = 16 changes bits here
+    # the row step is a power of two; a 1,638-row step at n = 16 changes bits here.  enumerate_levels
+    # fills its output from level_runs, runs of 2^14 levels: n = 15 and 16 take several
     params = ChainParams(n=n, j=j, b=b)
     values = np.arange(1 << n, dtype=np.int64)
     whole = ((values[:, None] >> np.arange(n)) & 1).astype(float) @ mode_energies(params) - n * b
     assert np.array_equal(energies_for_occupation_values(params, values), whole)
+    assert np.array_equal(enumerate_levels(params), whole)
+    assert np.array_equal(np.concatenate([occupations for occupations, _ in level_runs(params)]), values)
 
 
 def test_enumerate_levels_memory_is_chunked():
@@ -238,6 +241,8 @@ def test_enumerate_levels_memory_is_chunked():
 def test_enumerate_levels_cap_is_checked_eagerly():
     with pytest.raises(SizeLimitError):
         enumerate_levels(ChainParams(n=21))
+    with pytest.raises(SizeLimitError):
+        level_runs(ChainParams(n=21))  # on the call, before the first run is asked for
 
 
 def test_same_sector_levels_share_field_slope():

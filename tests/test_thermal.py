@@ -23,6 +23,7 @@ from xxchain import (
     sector_index_to_label,
     thermal_density_matrix,
 )
+from xxchain.spectrum import energies_for_occupation_values
 
 
 def crossing_field(n, index):
@@ -104,6 +105,27 @@ def test_inverse_temperature_must_be_non_negative(function, beta):
 def test_weights_cap():
     with pytest.raises(SizeLimitError):
         boltzmann_weights(ChainParams(n=21), 1.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 10), b=st.floats(-3, 3), j=st.floats(0.1, 4), beta=st.floats(1e-3, 50))
+def test_weights_keep_the_bits_of_the_out_of_place_formula(n, b, j, beta):
+    # boltzmann_weights runs the same elementwise steps in place, on one new array
+    params = ChainParams(n=n, j=j, b=b)
+    energies = label_energies(params)
+    weights = np.exp(-beta * (energies - energies.min()))
+    assert np.array_equal(boltzmann_weights(params, beta).probabilities, weights / float(weights.sum()))
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(1, 12), j=st.floats(0.1, 4))
+def test_cached_label_energies_serve_either_signed_zero_field(n, j):
+    # ChainParams(b=-0.0) == ChainParams(b=0.0), so the cache answers one with the other's array
+    cached = label_energies(ChainParams(n=n, j=j, b=0.0))
+    assert label_energies(ChainParams(n=n, j=j, b=-0.0)) is cached
+    assert not cached.flags.writeable
+    fresh = energies_for_occupation_values(ChainParams(n=n, j=j, b=-0.0), xxchain.states.label_occupations(n))
+    assert cached.tobytes() == fresh.tobytes()  # sign bits included
 
 
 def test_weights_match_closed_form_log_z():

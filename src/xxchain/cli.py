@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import json
 import math
@@ -207,6 +208,35 @@ def _points(config: RunConfig):
 # A block maps a column to a numpy array (one entry per row) or to one value for every row.
 
 
+def _block_rows(block: dict) -> int:
+    return max((len(value) for value in block.values() if isinstance(value, np.ndarray)), default=1)
+
+
+def _joining(build):
+    """The builder with consecutive blocks joined while they fit in CHUNK_ENTRIES cells, so that a grid of
+    small blocks is formatted a chunk at a time; a column not one object in all of them becomes an array."""
+    def join(run: list[dict], sizes: list[int]) -> dict:
+        return {name: first if all(block[name] is first for block in run) else np.concatenate(
+                    [block[name] if isinstance(block[name], np.ndarray) else np.full(size, block[name])
+                     for block, size in zip(run, sizes)]) for name, first in run[0].items()}
+
+    @functools.wraps(build)
+    def joined(config: RunConfig):
+        run, sizes, rows = [], [], 0
+        for block in build(config):
+            size = _block_rows(block)
+            if run and (rows + size) * len(block) > CHUNK_ENTRIES:
+                yield join(run, sizes)
+                run, sizes, rows = [], [], 0
+            run.append(block)
+            sizes.append(size)
+            rows += size
+        if run:
+            yield join(run, sizes)
+    return joined
+
+
+@_joining
 def _rows_spectrum(config: RunConfig):
     for b in _field_grid(config):
         for values, energy in level_runs(ChainParams(n=config.n, j=config.j, b=b)):  # checks the level cap first
@@ -223,6 +253,7 @@ def _rows_crossings(config: RunConfig):
     yield {"k": np.arange(1, fields.size + 1), "b_k": fields}
 
 
+@_joining
 def _rows_thermal(config: RunConfig):
     before = np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])  # labels below sector m
     for b, t, beta, params in _points(config):
@@ -354,7 +385,7 @@ def _chunks(blocks: Iterable[dict], columns) -> Iterator[tuple[dict, int, int]]:
     """(block, start, count) for each run of rows of each block with at most CHUNK_ENTRIES cells."""
     step = max(1, CHUNK_ENTRIES // len(columns))
     for block in blocks:
-        size = max((len(value) for value in block.values() if isinstance(value, np.ndarray)), default=1)
+        size = _block_rows(block)
         for start in range(0, size, step):
             yield block, start, min(step, size - start)
 
@@ -373,11 +404,121 @@ def _csv_cells(values: list) -> list[str]:
     return ['"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text for text in texts]
 
 
+@functools.cache
+def _tables():
+    """Words (uint32) of four ASCII digits for 0..9999, 10,000 per kind of word: all NUL, leading zeros as
+    NUL, in full, trailing zeros as NUL, and leading zeros as NUL but for the last two; the sign, point and
+    exponent words; 10^k as int64 for k < 19, and as the nearest float64 for k in -301..308."""
+    values, place = np.arange(10000, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], dtype=np.int16)
+    full = (values // place % 10 + 48).astype(np.uint8)
+    digits = [np.where(keep, full, 0).view(np.uint32).ravel()
+              for keep in (False, (values >= place) | (place == 1), True, values % (place * 10) != 0,
+                           (values >= place) | (place <= 10))]
+    return (np.concatenate(digits), *_text_words(["-", ".", "e+", "e-"])[:, 0], 10 ** np.arange(19),
+            np.array([float(f"1e{min(k, 308)}") for k in range(-301, 341)]))
+
+
+_LEAD, _FULL, _TRAIL, _TWO = (10000 * kind for kind in range(1, 5))  # offsets of the kinds after all-NUL
+
+
+def _text_words(cells: list[str]) -> np.ndarray:
+    """Each cell's UTF-8 bytes as one row of NUL-padded words."""
+    data = [cell.encode() for cell in cells]
+    width = max(4, -(-max(map(len, data)) // 4) * 4)
+    return np.frombuffer(b"".join(item.ljust(width, b"\0") for item in data), np.uint32).reshape(len(data), -1)
+
+
+def _digit_words(mag: np.ndarray) -> list:
+    """str() of non-negative ints as word columns, most significant first: all NUL above a row's highest
+    nonzero group of four digits, leading zeros as NUL in it, in full below it."""
+    words = _tables()[0]
+    count = (len(str(np.maximum.reduce(mag))) + 3) // 4
+    cells = []
+    for k in reversed(range(count)):
+        high = mag // 10 ** (4 * k)  # the digits from group k up
+        group = (high if k == count - 1 else high - high // 10000 * 10000).astype(np.intp, copy=False)
+        kind = _LEAD if k == 0 else (high > 0) * _LEAD
+        cells.append(words[group + (kind if k == count - 1 else kind + (high >= 10000) * (_FULL - _LEAD))])
+    return cells
+
+
+def _number_words(x: np.ndarray) -> list:
+    """A 1-D int column as str() cells, a float one as '%.9g' cells, in word columns (those all NUL left out).
+
+    A float's nine digits are rint(|x| * 10^(8-e)). The power of ten and the product are each rounded at
+    most once, so the product is within 2^-52 of its size from the exact one, and '%.9g' itself formats a
+    value whose product lies within 2^-50 of its size from a half-integer, and one not finite or below 1e-300.
+    """
+    words, minus, dot, e_plus, e_minus, ipow, fpow = _tables()
+    if x.dtype.kind in "iu":
+        x = x if x.dtype == np.uint64 else x.astype(np.int64, copy=False)
+        negative = x < 0
+        if not np.count_nonzero(negative):
+            return _digit_words(x)
+        return [negative * minus, *_digit_words(np.where(negative, ~x, x).astype(np.uint64) + negative)]
+    x = x.astype(np.float64, copy=False)
+    finite = np.isfinite(x)
+    a = np.where(finite, np.abs(x), 0.0)
+    e = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.int64)
+    scaled = a * fpow[309 - e]
+    low, high = scaled < 1e8, scaled >= 1e9  # log10 may miss by one next to a power of ten; a zero gets e = -1
+    if np.count_nonzero(low) or np.count_nonzero(high):
+        e += high
+        e -= low
+        scaled = a * fpow[309 - e]
+    digits = np.rint(scaled)
+    python = ~finite | (e < -300) | (np.abs(scaled - digits) + scaled * 2.0**-50 >= 0.5)
+    digits = digits.astype(np.int64)
+    carry = digits == 10**9
+    if np.count_nonzero(carry):
+        digits[carry] = 10**8
+        e += carry
+    sci = (e < -4) | (e >= 9)
+    point = np.where(sci, 0, e) if np.count_nonzero(sci) else e
+    scale = ipow[8 - point]
+    integer = digits // scale
+    fraction = (digits - integer * scale) * ipow[4 + point]  # twelve digits after the point
+    head = fraction // 10**8
+    rest = fraction - head * 10**8
+    middle = rest // 10**4
+    tail = rest - middle * 10**4
+    cells = [np.signbit(x) * minus, *_digit_words(integer), (fraction != 0) * dot,
+             words[head + _TRAIL - (rest != 0) * (_TRAIL - _FULL)],
+             words[middle + _TRAIL - (tail != 0) * (_TRAIL - _FULL)], words[tail + _TRAIL]]
+    if np.count_nonzero(sci):
+        cells += [np.where(sci, np.where(e < 0, e_minus, e_plus), 0), words[np.abs(e) + sci * _TWO]]
+    if np.count_nonzero(python):
+        rows = np.flatnonzero(python)
+        text = _text_words(list(map("%.9g".__mod__, x[rows].tolist())))
+        for column, word in enumerate(cells):
+            word[rows] = text[:, column] if column < text.shape[1] else 0
+    return [word for word in cells if np.count_nonzero(word)]
+
+
+@functools.lru_cache(maxsize=64)
+def _text_run(text: str) -> list:
+    """The word columns of one text repeated on every row of a chunk."""
+    return list(_text_words([text]).T)
+
+
 def _csv_chunk(block: dict, start: int, count: int, columns) -> str:
-    # a function of its own, so one chunk's cells are freed before the next chunk's are built
-    cells = [_csv_cells(block[name][start : start + count].tolist()) if isinstance(block[name], np.ndarray)
-             else itertools.repeat(_csv_cells([block[name]])[0], count) for name in columns]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    # a function of its own, so one chunk's word table is freed before the next chunk's is built
+    words, text = [], ""  # text: the cells of a run of one-value columns, and the commas around them
+    for name in columns:
+        value = block[name]
+        if isinstance(value, np.ndarray):
+            value = value[start : start + count]
+            words += _text_run(text) if text else []
+            words += (_number_words(value) if value.ndim == 1 and value.dtype.kind in "fiu"
+                      else list(_text_words(_csv_cells(value.tolist())).T))
+            text = ","
+        else:
+            text += _csv_cells([value])[0] + ","
+    words += _text_run(text[:-1] + "\n")
+    table = np.empty((count, len(words)), np.uint32)
+    for column, word in enumerate(words):
+        table[:, column] = word
+    return table.tobytes().translate(None, b"\0").decode()
 
 
 def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import stat
+import tempfile
 import threading
 import tracemalloc
 import weakref
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xxchain.cli import _SUBCOMMANDS, AxisRange, RunConfig, emit, run
+from xxchain.cli import _OPTION_GROUPS, _SUBCOMMANDS, AxisRange, RunConfig, emit, run
 from xxchain.params import ChainParams, NumericalError
 from xxchain.spectrum import enumerate_levels
 from xxchain.states import label_occupations
@@ -406,6 +407,92 @@ def test_streamed_output_matches_whole_document_rendering(blocks, cells):
             with contextlib.redirect_stdout(out):
                 emit(iter(blocks), ["a", "b", "c"], config, extra_meta)
             assert out.getvalue() == expected
+
+
+# edge values per flag; n stays small but for the cap cases 13 and 21
+FLAG_VALUES = {
+    "--n": ["1", "2", "3", "4", "6", "0", "-1", "13", "21", "x"],
+    "--j": ["1", "0.5", "-0", "0", "-1", "5e-324", "1e308", "nan", "inf"],
+    "--b": ["0", "-0", "0.3", "-1.5", "5e-324", "1e308", "-1e308", "nan", "x"],
+    "--t": ["0", "0.05", "1", "-0.5", "5e-324", "1e308", "inf"],
+    "--b-range": ["-1:1:3", "0:0:1", "1:-1:2", "0:1:0", "-1e308:1e308:3", "0:1", "a:b:c"],
+    "--t-range": ["0:1:2", "0.1:2:3", "1:0.5:2", "0:1:-1", "0:1e308:2", "x"],
+    "--k": ["0", "1", "2", "-1", "7"],
+    "--sizes": [["4"], ["4", "50"], ["1000"], ["0"], ["x"]],
+    "--split-a": ["1", "1,2", "2,1,2", "0", "9", "x"],
+    "--dense-cap": ["0", "4", "12", "13", "-1"],
+    "--format": ["csv", "json", "xml"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and a subset of its flags, each with an edge value; sometimes a flag of another."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    flags = [flags[0] for group in _SUBCOMMANDS[name].options for flags, _ in _OPTION_GROUPS[group]
+             if flags[0] != "--output"]
+    argv = [name]
+    for flag in draw(st.lists(st.sampled_from(flags + ["--k"]), unique=True)):
+        value = draw(st.sampled_from(FLAG_VALUES[flag]))
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=80)
+@given(argv=cli_argv())
+def test_run_exits_cleanly_and_writes_all_or_nothing(argv):
+    code, out, err = _run_captured(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[-1]]
+    elif "output" in _SUBCOMMANDS[argv[0]].options:
+        with tempfile.TemporaryDirectory() as directory:
+            target = os.path.join(directory, "out")
+            assert _run_captured(argv + ["-o", target])[:2] == (0, "")
+            if "json" in argv:  # the JSON meta records the output path
+                out = out.replace('"output": null', f'"output": {json.dumps(target)}', 1)
+            assert Path(target).read_bytes() == out.encode()
+
+
+def _csv_column(values: np.ndarray) -> list[str]:
+    """The cells emit writes for one array column."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(iter([{"x": values}]), ["x"], RunConfig("test"))
+    return out.getvalue().split("\n")[1:-1]
+
+
+# each side of the fixed/exponent switch after rounding, and the ends of the float range
+FLOAT_EDGES = [9.9999999995e-05, 9.9999999994e-05, 999999999.5, 999999999.4, 0.0001, 1e9, -0.0, 0.0, 5e-324,
+               2.2250738585072014e-308, 1e-300, 1e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+# a nine-digit decimal, then a 5: a tie at nine significant digits, exact in binary from 1e8 to 1e10
+DECIMAL_TIES = st.builds(lambda digits, exponent: float(f"{digits}5e{exponent}"),
+                         st.integers(10**8, 10**9 - 1), st.integers(-330, 298))
+INT_EDGES = [sign * 10**k + step for k in range(19) for step in (-1, 0, 1) for sign in (1, -1)] + [-2**63, 2**63 - 1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(FLOAT_EDGES), DECIMAL_TIES,
+                          DECIMAL_TIES.map(lambda tie: tie * 10**-9)), min_size=1, max_size=30))
+def test_csv_float_cells_match_printf(values):
+    assert _csv_column(np.array(values)) == ["%.9g" % value for value in values]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(INT_EDGES)), min_size=1, max_size=30))
+def test_csv_int_cells_match_str(values):
+    assert _csv_column(np.array(values, dtype=np.int64)) == list(map(str, values))
+    magnitudes = [abs(value) for value in values]
+    assert _csv_column(np.array(magnitudes, dtype=np.uint64)) == list(map(str, magnitudes))
+    assert _csv_column(np.array(values, dtype=np.int64).astype(np.uint8)) == [str(value % 256) for value in values]
 
 
 def _reference_document(config, columns, rows):

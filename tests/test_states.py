@@ -19,7 +19,7 @@ from xxchain import (
     label_to_sector_index,
     sector_index_to_label,
 )
-from xxchain.states import sector_amplitude_matrix, sector_basis_indices
+from xxchain.states import bit_counts, sector_amplitude_matrix, sector_basis_indices
 
 A1_MINUS = 0.5 * math.sqrt(1 - 1 / math.sqrt(5))
 A1_PLUS = 0.5 * math.sqrt(1 + 1 / math.sqrt(5))
@@ -262,6 +262,11 @@ def test_label_round_trip_property(n, data):
     value = int(label_occupations(n)[label - 1])
     same_weight_below = [v for v in range(value) if popcount(v) == m]
     assert popcount(value) == m and len(same_weight_below) == r - 1
+
+
+@given(n=st.integers(1, 20), values=st.lists(st.integers(0, (1 << 24) - 1), min_size=1, max_size=20))
+def test_bit_counts_counts_the_low_n_bits(n, values):
+    assert bit_counts(np.array(values), n).tolist() == [popcount(v & ((1 << n) - 1)) for v in values]
 
 
 def test_within_sector_rank_is_ascending_bitmask_order():

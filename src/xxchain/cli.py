@@ -435,10 +435,12 @@ def _digit_words(mag: np.ndarray) -> list:
     count = (len(str(np.maximum.reduce(mag))) + 3) // 4
     cells = []
     for k in reversed(range(count)):
-        high = mag // 10 ** (4 * k)  # the digits from group k up
-        group = (high if k == count - 1 else high - high // 10000 * 10000).astype(np.intp, copy=False)
+        high = mag // 10 ** (4 * k) if k else mag  # the digits from group k up
+        group = high if k == count - 1 else high - high // 10000 * 10000
         kind = _LEAD if k == 0 else (high > 0) * _LEAD
-        cells.append(words[group + (kind if k == count - 1 else kind + (high >= 10000) * (_FULL - _LEAD))])
+        if k < count - 1:
+            kind = kind + (high >= 10000) * (_FULL - _LEAD)
+        cells.append(words[group.astype(np.intp, copy=False) + kind])
     return cells
 
 
@@ -461,11 +463,11 @@ def _number_words(x: np.ndarray) -> list:
     a = np.where(finite, np.abs(x), 0.0)
     e = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.int64)
     scaled = a * fpow[309 - e]
-    low, high = scaled < 1e8, scaled >= 1e9  # log10 may miss by one next to a power of ten; a zero gets e = -1
-    if np.count_nonzero(low) or np.count_nonzero(high):
-        e += high
-        e -= low
-        scaled = a * fpow[309 - e]
+    # log10 can miss the decade by one next to a power of ten; a zero ends at e = -1 and prints as 0
+    fix = np.flatnonzero((scaled < 1e8) | (scaled >= 1e9))
+    if fix.size:
+        e[fix] += np.where(scaled[fix] < 1e8, -1, 1)
+        scaled[fix] = a[fix] * fpow[309 - e[fix]]
     digits = np.rint(scaled)
     python = ~finite | (e < -300) | (np.abs(scaled - digits) + scaled * 2.0**-50 >= 0.5)
     digits = digits.astype(np.int64)
@@ -483,8 +485,8 @@ def _number_words(x: np.ndarray) -> list:
     middle = rest // 10**4
     tail = rest - middle * 10**4
     cells = [np.signbit(x) * minus, *_digit_words(integer), (fraction != 0) * dot,
-             words[head + _TRAIL - (rest != 0) * (_TRAIL - _FULL)],
-             words[middle + _TRAIL - (tail != 0) * (_TRAIL - _FULL)], words[tail + _TRAIL]]
+             words[head + (rest == 0) * (_TRAIL - _FULL) + _FULL],
+             words[middle + (tail == 0) * (_TRAIL - _FULL) + _FULL], words[tail + _TRAIL]]
     if np.count_nonzero(sci):
         cells += [np.where(sci, np.where(e < 0, e_minus, e_plus), 0), words[np.abs(e) + sci * _TWO]]
     if np.count_nonzero(python):
@@ -515,10 +517,10 @@ def _csv_chunk(block: dict, start: int, count: int, columns) -> str:
         else:
             text += _csv_cells([value])[0] + ","
     words += _text_run(text[:-1] + "\n")
-    table = np.empty((count, len(words)), np.uint32)
-    for column, word in enumerate(words):
-        table[:, column] = word
-    return table.tobytes().translate(None, b"\0").decode()
+    table = np.empty((len(words), count), np.uint32)
+    for row, word in enumerate(words):
+        table[row] = word
+    return table.tobytes(order="F").translate(None, b"\0").decode()  # a CSV row is a column of the table
 
 
 def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:

@@ -408,7 +408,7 @@ def _csv_cells(values: list) -> list[str]:
 def _tables():
     """Words (uint32) of four ASCII digits for 0..9999, 10,000 per kind of word: all NUL, leading zeros as
     NUL, in full, trailing zeros as NUL, and leading zeros as NUL but for the last two; the sign, point and
-    exponent words; 10^k as int64 for k < 19, and as the nearest float64 for k in -301..308."""
+    exponent words; 10^k as int64 for k < 19, and as the nearest float64 for k in -301..340 (1e308 above 308)."""
     values, place = np.arange(10000, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], dtype=np.int16)
     full = (values // place % 10 + 48).astype(np.uint8)
     digits = [np.where(keep, full, 0).view(np.uint32).ravel()

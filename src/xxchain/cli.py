@@ -216,9 +216,12 @@ def _joining(build):
     """The builder with consecutive blocks joined while they fit in CHUNK_ENTRIES cells, so that a grid of
     small blocks is formatted a chunk at a time; a column not one object in all of them becomes an array."""
     def join(run: list[dict], sizes: list[int]) -> dict:
-        return {name: first if all(block[name] is first for block in run) else np.concatenate(
-                    [block[name] if isinstance(block[name], np.ndarray) else np.full(size, block[name])
-                     for block, size in zip(run, sizes)]) for name, first in run[0].items()}
+        joined = {}
+        for name, first in run[0].items():
+            values = [block[name] for block in run]
+            joined[name] = (first if all(value is first for value in values) else np.concatenate(values)
+                            if isinstance(first, np.ndarray) else np.repeat(np.array(values), sizes))
+        return joined
 
     @functools.wraps(build)
     def joined(config: RunConfig):
@@ -266,6 +269,7 @@ def _rows_thermal(config: RunConfig):
                    "energy": energy[start : start + m.size], "probability": probability[start : start + m.size]}
 
 
+@_joining
 def _rows_purity(config: RunConfig):
     dense = config.n <= _dense_check_cap(config)
     for b, t, beta, params in _points(config):
@@ -274,6 +278,7 @@ def _rows_purity(config: RunConfig):
                "purity_dense": purity_dense(thermal_density_matrix(params, beta)) if dense else None}
 
 
+@_joining
 def _rows_purity_derivative(config: RunConfig):
     h = _DERIVATIVE_STEP
     for b, t, beta, _ in _points(config):
@@ -282,6 +287,7 @@ def _rows_purity_derivative(config: RunConfig):
         yield {"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": (upper - lower) / (2 * h)}
 
 
+@_joining
 def _rows_negativity(config: RunConfig):
     sites_a = config.split_a if config.split_a is not None else tuple(range(1, config.n // 2 + 1))
     try:
@@ -304,6 +310,7 @@ def _meta_negativity(config: RunConfig) -> dict:
     return {"kt_c": kt_c}
 
 
+@_joining
 def _rows_thermo_limit(config: RunConfig):
     for n in config.sizes:
         for b in _field_grid(config):

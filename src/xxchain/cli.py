@@ -219,8 +219,12 @@ def _joining(build):
         joined = {}
         for name, first in run[0].items():
             values = [block[name] for block in run]
-            joined[name] = (first if all(value is first for value in values) else np.concatenate(values)
-                            if isinstance(first, np.ndarray) else np.repeat(np.array(values), sizes))
+            if all(value is first for value in values):
+                joined[name] = first
+            elif isinstance(first, np.ndarray):
+                joined[name] = np.concatenate(values)
+            else:
+                joined[name] = np.repeat(np.array(values), sizes)
         return joined
 
     @functools.wraps(build)

@@ -337,6 +337,32 @@ def test_validate_passes(capsys):
     assert "5 checks passed, 0 failed" in out
 
 
+@pytest.mark.parametrize("j", ["160", "1000"])
+def test_validate_passes_where_the_partition_sum_overflows(j):
+    # exp(-beta E) of the ground level overflows a float from j = 160 at n = 4
+    code, out, err = run_captured(["validate", "--n", "4", "--j", j])
+    assert (code, err) == (0, "")
+    assert out.endswith("5 checks passed, 0 failed\n")
+
+
+@pytest.mark.parametrize("j", ["1e150", "1e200", "1e300"])
+def test_validate_rejects_the_eigenpair_residual_of_a_huge_coupling(j):
+    # the residual is absolute, so it fails; squaring it must not overflow (RuntimeWarning is an error here)
+    code, out, err = run_captured(["validate", "--n", "4", "--j", j])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: eigenpair residual \S+e\+\d+ exceeds 1\.0e-08\n", err)
+
+
+def test_failing_validate_report_goes_to_stderr():
+    # at n = 2 the eigenpair gate passes for j = 1e150, but the absolute tolerances of three checks fail
+    code, out, err = run_captured(["validate", "--n", "2", "--j", "1e150"])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0] == "validate n=2 j=1e+150"
+    assert [line.split()[0] for line in lines[1:6]] == ["FAIL", "FAIL", "PASS", "PASS", "FAIL"]
+    assert lines[6:] == ["2 checks passed, 3 failed", "error: 3 of 5 validation checks failed"]
+
+
 def test_emit_header_only_for_empty_rows(capsys):
     emit(iter([]), ["a", "b"], RunConfig("test"))
     assert capsys.readouterr().out == "a,b\n"
@@ -412,7 +438,7 @@ def test_streamed_output_matches_whole_document_rendering(blocks, cells):
 # edge values per flag; n stays small but for the cap cases 13 and 21
 FLAG_VALUES = {
     "--n": ["1", "2", "3", "4", "6", "0", "-1", "13", "21", "x"],
-    "--j": ["1", "0.5", "-0", "0", "-1", "5e-324", "1e308", "nan", "inf"],
+    "--j": ["1", "0.5", "-0", "0", "-1", "5e-324", "160", "1e150", "1e200", "1e300", "1e308", "nan", "inf"],
     "--b": ["0", "-0", "0.3", "-1.5", "5e-324", "1e308", "-1e308", "nan", "x"],
     "--t": ["0", "0.05", "1", "-0.5", "5e-324", "1e308", "inf"],
     "--b-range": ["-1:1:3", "0:0:1", "1:-1:2", "0:1:0", "-1e308:1e308:3", "0:1", "a:b:c"],

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from xxchain import (
     ChainParams,
+    NumericalError,
     SizeLimitError,
     build_hamiltonian,
     diagonalize,
     enumerate_levels,
     ground_sector,
 )
+from xxchain.oracle import DenseHamiltonian, residual_norms
 
 
 def test_single_site_is_diagonal_field_term():
@@ -106,3 +108,48 @@ def looped_hamiltonian(n, j, b):
 def test_build_hamiltonian_matches_state_by_state_loop(n, j, b):
     built = build_hamiltonian(ChainParams(n=n, j=j, b=b)).entries
     assert np.array_equal(built, looped_hamiltonian(n, j, b))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A real symmetric spin-basis matrix: dim 2^k, entries kept with a drawn density over many magnitudes."""
+    dim = 1 << draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-3, 4, (dim, dim))
+    upper[rng.random((dim, dim)) >= draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = 0.0
+    return DenseHamiltonian(dim, np.triu(upper) + np.triu(upper, 1).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=symmetric_matrices(), seed=st.integers(0, 2**32 - 1), eigenpairs=st.booleans())
+def test_residual_norms_match_the_dense_residual(h, seed, eigenpairs):
+    if eigenpairs:
+        values, vectors = np.linalg.eigh(h.entries)
+    else:
+        rng = np.random.default_rng(seed)
+        values, vectors = rng.standard_normal(h.dim) * 10.0, rng.standard_normal((h.dim, h.dim))
+    dense = np.linalg.norm(h.entries @ vectors - vectors * values, axis=0)
+    # the eigenpair residual is rounding alone, so there the two orders of summation agree to its scale
+    floor = 1e-12 * np.abs(h.entries).max(initial=0.0) * h.dim if eigenpairs else 0.0
+    np.testing.assert_allclose(residual_norms(h, values, vectors), dense, rtol=1e-12, atol=floor)
+
+
+def test_residual_norms_of_the_zero_hamiltonian():
+    h = build_hamiltonian(ChainParams(n=1, b=0.0))
+    assert not h.entries.any()
+    values, vectors = diagonalize(h)
+    assert np.array_equal(residual_norms(h, values, vectors), [0.0, 0.0])
+    assert np.array_equal(residual_norms(h, np.array([1.0, -2.0]), vectors), [1.0, 2.0])
+
+
+def test_perturbed_eigenvector_fails_the_gate(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(matrix):
+        values, vectors = eigh(matrix)
+        vectors[3, 5] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalError, match="eigenpair residual .* exceeds 1.0e-08"):
+        diagonalize(build_hamiltonian(ChainParams(n=4, b=0.31)))

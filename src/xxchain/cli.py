@@ -370,7 +370,7 @@ def _rows_validate(config: RunConfig):
             try:
                 direct = sum(math.exp(-beta * energy) for energy in energies)
                 closed = math.exp(log_partition_function(params, beta))
-            except OverflowError:  # large j: factor out the lowest level, here only, as it moves digits at j = 1
+            except OverflowError:  # large j only: factoring out the lowest level moves printed digits at j = 1
                 shift = min(energies)
                 direct = sum(math.exp(-beta * (energy - shift)) for energy in energies)
                 closed = math.exp(log_partition_function(params, beta) + beta * shift)

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .params import LEVEL_CAP, MATRIX_CAP, ChainParams, check_cap
+from .params import CHUNK_ENTRIES, LEVEL_CAP, MATRIX_CAP, ChainParams, check_cap
 from .spectrum import energies_for_occupation_values, mode_energies, mode_signs
 from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices
 
@@ -102,18 +102,25 @@ def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
 
 
 def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
-    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n."""
+    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n.
+
+    The blocks are consecutive views of one array of C(2n, n) = sum_m C(n, m)^2
+    entries, so a state is one allocation rather than one per sector.
+    """
     n = params.n
     check_cap(n, MATRIX_CAP, "dense thermal state")
     ensemble = boltzmann_weights(params, beta)
+    storage = np.empty(math.comb(2 * n, n))
     blocks = []
-    offset = 0
+    offset = start = 0
     for m in range(n + 1):
         count = math.comb(n, m)
         weights = ensemble.probabilities[offset : offset + count]
         vectors = sector_amplitude_matrix(n, m)
-        blocks.append((sector_basis_indices(n, m), (vectors * weights[:, None]).T @ vectors))
+        block = storage[start : start + count * count].reshape(count, count)
+        blocks.append((sector_basis_indices(n, m), np.matmul((vectors * weights[:, None]).T, vectors, out=block)))
         offset += count
+        start += count * count
     return DensityMatrix(1 << n, tuple(blocks))
 
 
@@ -146,13 +153,20 @@ def purity_dense(rho: DensityMatrix) -> float:
     whole rows into the running sums one after another.  A reduction along
     the contiguous axis (``np.sum`` of a row, or of the row sums) would add
     pairwise and can move the last bits; ``np.cumsum`` adds sequentially.
+    The product rows come ``CHUNK_ENTRIES`` at a time below a row 0 that carries
+    the running sums: the same additions in the same order, in chunk-sized memory.
     """
     row_sums = np.zeros(rho.dim)
     for indices, block in rho.blocks:
         order = np.argsort(indices)
-        products = block[order]
-        products *= block.T[order]
-        row_sums[indices] = np.add.reduce(products, axis=0)
+        step = max(1, CHUNK_ENTRIES // len(order))
+        products = np.empty((min(step, len(order)) + 1, len(order)))
+        products[0] = -0.0  # -0.0 + x is x for every x, so the first chunk sums as if it started the reduce
+        for start in range(0, len(order), step):
+            rows = order[start : start + step]
+            np.multiply(block[rows], block.T[rows], out=products[1 : len(rows) + 1])
+            np.add.reduce(products[: len(rows) + 1], axis=0, out=products[0])
+        row_sums[indices] = products[0]
     return float(np.cumsum(row_sums)[-1])
 
 

@@ -350,6 +350,39 @@ def test_purity_addition_order_pinned_at_production_size():
         assert purity_dense(rho) == float(np.einsum("ij,ji->", rho.entries, rho.entries))
 
 
+def unchunked_purity(rho):
+    """Each block's transposed products at once: ordered rows, np.add.reduce over axis 0, then np.cumsum."""
+    row_sums = np.zeros(rho.dim)
+    for indices, block in rho.blocks:
+        order = np.argsort(indices)
+        row_sums[indices] = np.add.reduce(block[order] * block.T[order], axis=0)
+    return float(np.cumsum(row_sums)[-1])
+
+
+@pytest.mark.parametrize(
+    "n, fields, betas",
+    [(n, (0.3, crossing_field(n, n // 2)), (0.0, 0.7, 40.0, math.inf)) for n in range(1, 11)]
+    + [(12, (crossing_field(12, 5),), (0.7,))],
+)
+def test_one_array_gibbs_state_keeps_every_bit(n, fields, betas):
+    for b in fields:
+        params = ChainParams(n=n, b=b)
+        for beta in betas:
+            probabilities = boltzmann_weights(params, beta).probabilities
+            rho = thermal_density_matrix(params, beta)
+            storage = rho.blocks[0][1].base
+            assert storage.size == math.comb(2 * n, n)
+            for m, (indices, block) in enumerate(rho.blocks):
+                vectors = xxchain.states.sector_amplitude_matrix(n, m)
+                start = sector_index_to_label(1, m, n) - 1
+                expected = (vectors * probabilities[start : start + len(vectors), None]).T @ vectors
+                assert np.array_equal(block.view(np.int64), expected.view(np.int64))
+                assert block.base is storage and not block.flags.writeable
+            assert purity_dense(rho) == unchunked_purity(rho)
+            again = thermal_density_matrix(params, beta)
+            assert not any(np.shares_memory(block, other) for _, block in rho.blocks for _, other in again.blocks)
+
+
 def test_purity_adds_within_a_row_one_product_at_a_time():
     # row 0's products are 1 and then sixteen 2^-54: added one at a time, each rounds back to 1.0,
     # while a pairwise sum first adds them to each other and keeps part of them

@@ -37,6 +37,9 @@ from .thermal import (
 )
 
 _DERIVATIVE_STEP = 1e-5
+# validate's tolerance per check at j <= 1, multiplied by max(1, j): energies and their rounding errors scale with j.
+_VALIDATE_TOLERANCES = {"eigenvalue-multiset": 1e-10, "eigenvector-residual": 1e-8, "purity-identity": 1e-10,
+                        "partition-function": 1e-12, "crossing-degeneracy": 1e-12}
 
 
 class UsageError(Exception):
@@ -331,6 +334,7 @@ def _rows_thermo_limit(config: RunConfig):
 def _rows_validate(config: RunConfig):
     """One (name, worst, tolerance) row per cross-check of the closed forms."""
     n, j = config.n, config.j
+    tolerance = {name: value * max(1.0, j) for name, value in _VALIDATE_TOLERANCES.items()}
     fields = [-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2]
 
     worst = 0.0
@@ -339,7 +343,7 @@ def _rows_validate(config: RunConfig):
         closed = np.sort(enumerate_levels(params))
         dense = diagonalize(build_hamiltonian(params))[0]
         worst = max(worst, float(np.max(np.abs(closed - dense))))
-    yield "eigenvalue-multiset", worst, 1e-10
+    yield "eigenvalue-multiset", worst, tolerance["eigenvalue-multiset"]
 
     basis = eigenbasis_matrix(n)
     step = max(1, CHUNK_ENTRIES // len(basis))
@@ -351,7 +355,7 @@ def _rows_validate(config: RunConfig):
         for start in range(0, len(basis), step):  # minus basis * energies, in place a chunk of rows at a time
             residual[start:start + step] -= basis[start:start + step] * energies
         worst = max(worst, float(np.max(np.abs(residual, out=residual))))
-    yield "eigenvector-residual", worst, 1e-8
+    yield "eigenvector-residual", worst, tolerance["eigenvector-residual"]
 
     worst = 0.0
     for b in (-0.9, 0.31, 0.75):
@@ -360,7 +364,7 @@ def _rows_validate(config: RunConfig):
             beta = 1.0 / t
             gap = purity_analytic(params, beta) - purity_dense(thermal_density_matrix(params, beta))
             worst = max(worst, abs(gap))
-    yield "purity-identity", worst, 1e-10
+    yield "purity-identity", worst, tolerance["purity-identity"]
 
     worst = 0.0
     for b in (-0.5, 0.31):
@@ -375,14 +379,14 @@ def _rows_validate(config: RunConfig):
                 direct = sum(math.exp(-beta * (energy - shift)) for energy in energies)
                 closed = math.exp(log_partition_function(params, beta) + beta * shift)
             worst = max(worst, abs(closed - direct) / direct)
-    yield "partition-function", worst, 1e-12
+    yield "partition-function", worst, tolerance["partition-function"]
 
     worst = 0.0
     for index, field_b in enumerate(crossing_fields(n, j).fields_b):
         params = ChainParams(n=n, j=j, b=float(field_b))
         gap = ground_energy(params, index) - ground_energy(params, index + 1)
         worst = max(worst, abs(gap))
-    yield "crossing-degeneracy", worst, 1e-12
+    yield "crossing-degeneracy", worst, tolerance["crossing-degeneracy"]
 
 
 def _write_report(checks, columns, config: RunConfig, extra_meta: dict) -> None:

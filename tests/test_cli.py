@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xxchain.cli
 from xxchain.cli import _OPTION_GROUPS, _SUBCOMMANDS, AxisRange, RunConfig, emit, run
 from xxchain.params import ChainParams, NumericalError
 from xxchain.spectrum import enumerate_levels
@@ -353,14 +354,23 @@ def test_validate_rejects_the_eigenpair_residual_of_a_huge_coupling(j):
     assert re.fullmatch(r"error: eigenpair residual \S+e\+\d+ exceeds 1\.0e-08\n", err)
 
 
-def test_failing_validate_report_goes_to_stderr():
-    # at n = 2 the eigenpair gate passes for j = 1e150, but the absolute tolerances of three checks fail
+@pytest.mark.parametrize("n, j", [("6", "3000"), ("4", "1e4"), ("1", "1e6")])
+def test_validate_tolerances_scale_with_the_coupling(n, j):
+    # each argv failed one or more checks while the tolerances were absolute
+    code, out, err = run_captured(["validate", "--n", n, "--j", j])
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()[1:6]] == ["PASS"] * 5
+
+
+def test_failing_validate_report_goes_to_stderr(monkeypatch):
+    # at n = 2 and j = 1e150 the eigenpair gate passes and crossing-degeneracy's worst is about 1.8e134
+    monkeypatch.setitem(xxchain.cli._VALIDATE_TOLERANCES, "crossing-degeneracy", 0.0)
     code, out, err = run_captured(["validate", "--n", "2", "--j", "1e150"])
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert lines[0] == "validate n=2 j=1e+150"
-    assert [line.split()[0] for line in lines[1:6]] == ["FAIL", "FAIL", "PASS", "PASS", "FAIL"]
-    assert lines[6:] == ["2 checks passed, 3 failed", "error: 3 of 5 validation checks failed"]
+    assert [line.split()[0] for line in lines[1:6]] == ["PASS", "PASS", "PASS", "PASS", "FAIL"]
+    assert lines[6:] == ["4 checks passed, 1 failed", "error: 1 of 5 validation checks failed"]
 
 
 def test_emit_header_only_for_empty_rows(capsys):

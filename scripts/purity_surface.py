@@ -6,7 +6,7 @@ Writes, under --outdir:
   purity_deriv_n2.csv       d(purity)/db curves at four temperatures
   purity_n{N}.csv           the large-chain surface (analytic column only;
                             pass --with-dense to also fill the dense column,
-                            which is slow for N = 10)
+                            which takes about 22 s for N = 10)
   negativity_n2.csv         two-site negativity sweep (kT_c goes to stderr)
 """
 

@@ -105,7 +105,7 @@ def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
     """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n.
 
     The blocks are consecutive views of one array of C(2n, n) = sum_m C(n, m)^2
-    entries, so a state is one allocation rather than one per sector.
+    entries, so a state is one allocation.
     """
     n = params.n
     check_cap(n, MATRIX_CAP, "dense thermal state")

@@ -7,6 +7,8 @@ an output change is intended, by writing ``run(argv)``'s stdout to it.
 
 ``tests/golden/digests.json`` pins outputs too large to commit, at the sizes
 where chunk and block boundaries are crossed, by argv, byte count and SHA-256.
+``tests/golden/coupling_digests.json`` pins outputs at couplings j other than 1
+the same way, at fields away from every crossing.
 ``validate`` runs in a fresh interpreter with one BLAS thread: the last digit
 of its worst values depends on the thread count.
 """
@@ -23,7 +25,8 @@ import pytest
 from xxchain.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-DIGESTS = json.loads((GOLDEN_DIR / "digests.json").read_text())
+DIGESTS = {name: entry for path in ("digests.json", "coupling_digests.json")
+           for name, entry in json.loads((GOLDEN_DIR / path).read_text()).items()}
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 

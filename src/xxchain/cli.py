@@ -27,7 +27,7 @@ from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
 from .spectrum import crossing_fields, enumerate_levels, ground_energy, level_runs, log_partition_function
-from .states import bit_counts, eigenbasis_matrix, ground_state, label_occupations
+from .states import eigenbasis_matrix, ground_state, label_occupations
 from .thermal import (
     boltzmann_weights,
     label_energies,
@@ -211,46 +211,10 @@ def _points(config: RunConfig):
 # A block maps a column to a numpy array (one entry per row) or to one value for every row.
 
 
-def _block_rows(block: dict) -> int:
-    return max((len(value) for value in block.values() if isinstance(value, np.ndarray)), default=1)
-
-
-def _joining(build):
-    """The builder with consecutive blocks joined while they fit in CHUNK_ENTRIES cells, so that a grid of
-    small blocks is formatted a chunk at a time; a column not one object in all of them becomes an array."""
-    def join(run: list[dict], sizes: list[int]) -> dict:
-        joined = {}
-        for name, first in run[0].items():
-            values = [block[name] for block in run]
-            if all(value is first for value in values):
-                joined[name] = first
-            elif isinstance(first, np.ndarray):
-                joined[name] = np.concatenate(values)
-            else:
-                joined[name] = np.repeat(np.array(values), sizes)
-        return joined
-
-    @functools.wraps(build)
-    def joined(config: RunConfig):
-        run, sizes, rows = [], [], 0
-        for block in build(config):
-            size = _block_rows(block)
-            if run and (rows + size) * len(block) > CHUNK_ENTRIES:
-                yield join(run, sizes)
-                run, sizes, rows = [], [], 0
-            run.append(block)
-            sizes.append(size)
-            rows += size
-        if run:
-            yield join(run, sizes)
-    return joined
-
-
-@_joining
 def _rows_spectrum(config: RunConfig):
     for b in _field_grid(config):
         for values, energy in level_runs(ChainParams(n=config.n, j=config.j, b=b)):  # checks the level cap first
-            yield {"n": config.n, "b": b, "occupation": values, "m": bit_counts(values, config.n), "energy": energy}
+            yield {"n": config.n, "b": b, "occupation": values, "m": np.bitwise_count(values), "energy": energy}
 
 
 def _rows_ground_state(config: RunConfig):
@@ -263,20 +227,18 @@ def _rows_crossings(config: RunConfig):
     yield {"k": np.arange(1, fields.size + 1), "b_k": fields}
 
 
-@_joining
 def _rows_thermal(config: RunConfig):
     before = np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])  # labels below sector m
     for b, t, beta, params in _points(config):
         probability = boltzmann_weights(params, beta).probabilities  # checks the level cap first
         energy = label_energies(params)
         for start in range(0, energy.size, CHUNK_ENTRIES):
-            m = bit_counts(label_occupations(config.n)[start : start + CHUNK_ENTRIES], config.n)
+            m = np.bitwise_count(label_occupations(config.n)[start : start + CHUNK_ENTRIES])
             l = np.arange(start + 1, start + m.size + 1)
             yield {"n": config.n, "b": b, "t": t, "beta": beta, "l": l, "r": l - before[m], "m": m,
                    "energy": energy[start : start + m.size], "probability": probability[start : start + m.size]}
 
 
-@_joining
 def _rows_purity(config: RunConfig):
     dense = config.n <= _dense_check_cap(config)
     for b, t, beta, params in _points(config):
@@ -285,7 +247,6 @@ def _rows_purity(config: RunConfig):
                "purity_dense": purity_dense(thermal_density_matrix(params, beta)) if dense else None}
 
 
-@_joining
 def _rows_purity_derivative(config: RunConfig):
     h = _DERIVATIVE_STEP
     for b, t, beta, _ in _points(config):
@@ -294,7 +255,6 @@ def _rows_purity_derivative(config: RunConfig):
         yield {"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": (upper - lower) / (2 * h)}
 
 
-@_joining
 def _rows_negativity(config: RunConfig):
     sites_a = config.split_a if config.split_a is not None else tuple(range(1, config.n // 2 + 1))
     try:
@@ -317,7 +277,6 @@ def _meta_negativity(config: RunConfig) -> dict:
     return {"kt_c": kt_c}
 
 
-@_joining
 def _rows_thermo_limit(config: RunConfig):
     for n in config.sizes:
         for b in _field_grid(config):
@@ -405,13 +364,42 @@ def _write_report(checks, columns, config: RunConfig, extra_meta: dict) -> None:
 # --- output -------------------------------------------------------------------
 
 
-def _chunks(blocks: Iterable[dict], columns) -> Iterator[tuple[dict, int, int]]:
-    """(block, start, count) for each run of rows of each block with at most CHUNK_ENTRIES cells."""
+def _joined(run: list[list], sizes: list[int], columns) -> dict:
+    """One chunk of consecutive pieces: each column the one object they all hold, or one array."""
+    chunk = {}
+    for name, values in zip(columns, zip(*run)):
+        first = values[0]
+        if all(value is first for value in values):
+            chunk[name] = first
+        elif isinstance(first, np.ndarray):
+            chunk[name] = np.concatenate(values)
+        else:
+            chunk[name] = np.repeat(np.array(values), sizes)
+    return chunk
+
+
+def _chunks(blocks: Iterable[dict], columns) -> Iterator[tuple[dict, int]]:
+    """(chunk, rows) with at most CHUNK_ENTRIES cells, or one row, each, holding the blocks' rows in order: a
+    larger block is cut, and consecutive smaller pieces are joined while each column keeps one kind, that is
+    the same object, arrays of one dtype and trailing shape, or values of one type (then joined into an array)."""
     step = max(1, CHUNK_ENTRIES // len(columns))
+    run, sizes, rows, kinds = [], [], 0, None
     for block in blocks:
-        size = _block_rows(block)
+        values = [block[name] for name in columns]
+        size = max((len(value) for value in values if isinstance(value, np.ndarray)), default=1)
         for start in range(0, size, step):
-            yield block, start, min(step, size - start)
+            piece = [value[start : start + step] if isinstance(value, np.ndarray) else value for value in values]
+            count = min(step, size - start)
+            piece_kinds = [(v.dtype, v.shape[1:]) if isinstance(v, np.ndarray) else type(v) for v in piece]
+            if run and (rows + count > step or piece_kinds != kinds):
+                yield _joined(run, sizes, columns), rows
+                run, sizes, rows = [], [], 0
+            run.append(piece)
+            sizes.append(count)
+            rows += count
+            kinds = piece_kinds
+    if run:
+        yield _joined(run, sizes, columns), rows
 
 
 def _csv_cells(values: list) -> list[str]:
@@ -527,13 +515,12 @@ def _text_run(text: str) -> list:
     return list(_text_words([text]).T)
 
 
-def _csv_chunk(block: dict, start: int, count: int, columns) -> str:
+def _csv_chunk(chunk: dict, count: int, columns) -> str:
     # a function of its own, so one chunk's word table is freed before the next chunk's is built
     words, text = [], ""  # text: the cells of a run of one-value columns, and the commas around them
     for name in columns:
-        value = block[name]
+        value = chunk[name]
         if isinstance(value, np.ndarray):
-            value = value[start : start + count]
             words += _text_run(text) if text else []
             words += (_number_words(value) if value.ndim == 1 and value.dtype.kind in "fiu"
                       else list(_text_words(_csv_cells(value.tolist())).T))
@@ -550,14 +537,14 @@ def _csv_chunk(block: dict, start: int, count: int, columns) -> str:
 def _csv_text(blocks: Iterable[dict], columns) -> Iterator[str]:
     """The header, then one string per chunk."""
     yield ",".join(columns) + "\n"
-    for block, start, count in _chunks(blocks, columns):
-        yield _csv_chunk(block, start, count, columns)
+    for chunk, count in _chunks(blocks, columns):
+        yield _csv_chunk(chunk, count, columns)
 
 
-def _json_chunk(block: dict, start: int, count: int, columns) -> str:
+def _json_chunk(chunk: dict, count: int, columns) -> str:
     # a function of its own, so one chunk's values are freed before the next chunk's are encoded
-    values = [block[name][start : start + count].tolist() if isinstance(block[name], np.ndarray)
-              else itertools.repeat(block[name], count) for name in columns]
+    values = [chunk[name].tolist() if isinstance(chunk[name], np.ndarray) else itertools.repeat(chunk[name], count)
+              for name in columns]
     rows = json.dumps([dict(zip(columns, row)) for row in zip(*values)], indent=2)
     return "  " + rows[2:-2].replace("\n", "\n  ")  # the list's items, two levels deep
 
@@ -567,8 +554,8 @@ def _json_text(blocks: Iterable[dict], columns, meta: dict) -> Iterator[str]:
     head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
     yield head + "["
     separator = "\n"
-    for block, start, count in _chunks(blocks, columns):
-        yield separator + _json_chunk(block, start, count, columns)
+    for chunk, count in _chunks(blocks, columns):
+        yield separator + _json_chunk(chunk, count, columns)
         separator = ",\n"
     yield ("]" if separator == "\n" else "\n  ]") + tail + "\n"
 

@@ -56,22 +56,10 @@ def sector_basis_indices(n: int, m: int) -> np.ndarray:
     return indices
 
 
-_BYTE_COUNTS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
-
-
-def bit_counts(values: np.ndarray, n: int) -> np.ndarray:
-    """Set bits among the low n bits of each bitmask, as uint8: the sector m of an occupation."""
-    octets = np.ascontiguousarray(values, dtype="<i8").view(np.uint8).reshape(len(values), 8)
-    counts = np.zeros(len(values), dtype=np.uint8)
-    for k in range((n + 7) // 8):
-        counts += _BYTE_COUNTS[octets[:, k] & (1 << min(8, n - 8 * k)) - 1]
-    return counts
-
-
 @lru_cache(maxsize=None)
 def label_occupations(n: int) -> np.ndarray:
     """Occupation bitmasks in global label order: entry l-1 is the state of label l."""
-    ordered = np.argsort(bit_counts(np.arange(1 << n), n), kind="stable").astype(np.int64, copy=False)
+    ordered = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable").astype(np.int64, copy=False)
     ordered.setflags(write=False)
     return ordered
 

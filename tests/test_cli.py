@@ -695,6 +695,7 @@ def test_written_block_is_not_held_for_the_rest_of_the_run(monkeypatch, capsys):
             yield block
 
     monkeypatch.setitem(_SUBCOMMANDS, "spectrum", dataclasses.replace(_SUBCOMMANDS["spectrum"], build=build))
+    monkeypatch.setattr("xxchain.cli.CHUNK_ENTRIES", 10)  # two rows of five cells: blocks of four share no chunk
     assert run(["spectrum", "--n", "2", "--b", "0"]) == 0
     assert capsys.readouterr().out.count("\n") == 13
     assert first_alive_at_third == [False]

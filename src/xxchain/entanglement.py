@@ -88,11 +88,12 @@ def critical_temperature_two_qubit(params: ChainParams) -> float:
     populations underflow, over the bracket ``_KT_BRACKET`` until the interval
     is narrower than ``_KT_TOL`` (well inside the 1e-8 contract); both are in
     units of J, as kT_c is proportional to J.  The result is independent of
-    the field.
+    the field, so the margin is evaluated on the field-free levels: at |b| >> J
+    the two one-flip energies would cancel to 0.
     """
     if params.n != 2:
         raise ValueError(f"defined for chains of two spins, got n = {params.n}")
-    energies = label_energies(params)
+    energies = label_energies(ChainParams(n=2, j=params.j))
 
     def margin(t: float) -> float:
         beta = 1.0 / (params.j * t)

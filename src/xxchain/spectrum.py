@@ -51,13 +51,13 @@ def crossing_fields(n: int, j: float = 1.0) -> CrossingSet:
 
 
 def mode_signs(params: ChainParams) -> np.ndarray:
-    """Sign -1, 0 or +1 of each mode energy, with |lam_k| <= DEGENERACY_ATOL read as 0.
+    """Sign -1, 0 or +1 of each mode energy, with |lam_k| <= DEGENERACY_ATOL * j read as 0.
 
     This is the one degeneracy rule: a zero mode may be empty or occupied at
     no cost, so the ground state is degenerate exactly where a sign is 0.
     """
     lam = mode_energies(params)
-    return np.where(np.abs(lam) <= DEGENERACY_ATOL, 0, np.sign(lam)).astype(np.int64)
+    return np.where(np.abs(lam) <= DEGENERACY_ATOL * params.j, 0, np.sign(lam)).astype(np.int64)
 
 
 def ground_sector(params: ChainParams) -> int | tuple[int, int]:
@@ -119,8 +119,17 @@ def enumerate_levels(params: ChainParams) -> np.ndarray:
 
 
 def log_partition_function(params: ChainParams, beta: float) -> float:
-    """log Z = beta*n*b + sum_k log(1 + exp(-beta*lam_k)), overflow-safe."""
+    """log Z = beta*n*b + sum_k log(1 + exp(-beta*lam_k)), overflow-safe.
+
+    Where that form overflows, as it can from beta ~ 1e308, log Z is taken as
+    -beta*E_0 + sum_k log(1 + exp(-beta*|lam_k|)), E_0 the ground energy.
+    """
     if not beta >= 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
     lam = mode_energies(params)
-    return float(beta * params.n * params.b + np.sum(np.logaddexp(0.0, -beta * lam)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_z = float(beta * params.n * params.b + np.sum(np.logaddexp(0.0, -beta * lam)))
+        if np.isfinite(log_z):
+            return log_z
+        ground = ground_energy(params, int(np.count_nonzero(lam < 0)))
+        return float(-beta * ground + np.sum(np.log1p(np.exp(-beta * np.abs(lam)))))

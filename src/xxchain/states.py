@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, MATRIX_CAP, check_cap
+from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_cap
 
 
 @lru_cache(maxsize=None)
@@ -56,9 +56,10 @@ def sector_basis_indices(n: int, m: int) -> np.ndarray:
     return indices
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is not served from the entry for 1
 def label_occupations(n: int) -> np.ndarray:
     """Occupation bitmasks in global label order: entry l-1 is the state of label l."""
+    ChainParams(n=n)  # the one rule for n
     ordered = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable").astype(np.int64, copy=False)
     ordered.setflags(write=False)
     return ordered
@@ -106,6 +107,7 @@ def _slater_rows(n: int, modes: np.ndarray) -> np.ndarray:
 
 def ground_state(n: int, k: int) -> SpinBasisVector:
     """Ground state of sector k: modes 1..k occupied."""
+    ChainParams(n=n)  # the one rule for n
     if not 0 <= k <= n:
         raise ValueError(f"sector must satisfy 0 <= k <= {n}, got {k}")
     check_cap(n, MATRIX_CAP, "eigenstate construction")
@@ -128,6 +130,7 @@ def sector_amplitude_matrix(n: int, m: int) -> np.ndarray:
 
 def eigenbasis_matrix(n: int) -> np.ndarray:
     """Dense 2^n x 2^n orthogonal matrix; column l-1 is the label-l eigenstate."""
+    ChainParams(n=n)  # the one rule for n
     check_cap(n, MATRIX_CAP, "dense eigenbasis")
     basis = np.zeros((1 << n, 1 << n))
     offset = 0

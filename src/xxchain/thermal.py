@@ -96,7 +96,8 @@ def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     else:
         energies = label_energies(params)
         probs = np.subtract(energies, energies.min())  # then in place: -beta * (E - E_min), exp, normalize
-        np.exp(np.multiply(probs, -beta, out=probs), out=probs)
+        with np.errstate(over="ignore"):  # a product below -DBL_MAX is -inf, whose exp is the 0 it stands for
+            np.exp(np.multiply(probs, -beta, out=probs), out=probs)
         probs /= float(probs.sum())
     return ThermalEnsemble(probs)
 
@@ -136,7 +137,8 @@ def purity_analytic(params: ChainParams, beta: float) -> float:
     if math.isinf(beta):
         return float(np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0)))
     lam = mode_energies(params)
-    x = np.abs(beta * lam)
+    with np.errstate(over="ignore"):  # an overflowing x is inf, whose factor is the limit 1
+        x = np.abs(beta * lam)
     decay = np.exp(-x)
     sech_sq_half = 4.0 * decay / (1.0 + decay) ** 2
     return float(np.prod(1.0 - 0.5 * sech_sq_half))

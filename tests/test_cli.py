@@ -449,8 +449,8 @@ def test_streamed_output_matches_whole_document_rendering(blocks, cells):
 FLAG_VALUES = {
     "--n": ["1", "2", "3", "4", "6", "0", "-1", "13", "21", "x"],
     "--j": ["1", "0.5", "-0", "0", "-1", "5e-324", "160", "1e150", "1e200", "1e300", "1e308", "nan", "inf"],
-    "--b": ["0", "-0", "0.3", "-1.5", "5e-324", "1e308", "-1e308", "nan", "x"],
-    "--t": ["0", "0.05", "1", "-0.5", "5e-324", "1e308", "inf"],
+    "--b": ["0", "-0", "0.3", "-1.5", "5e-324", "1e17", "1e300", "1e308", "-1e308", "nan", "x"],
+    "--t": ["0", "0.05", "1", "-0.5", "1e-300", "1e-308", "5e-324", "1e308", "inf"],
     "--b-range": ["-1:1:3", "0:0:1", "1:-1:2", "0:1:0", "-1e308:1e308:3", "0:1", "a:b:c"],
     "--t-range": ["0:1:2", "0.1:2:3", "1:0.5:2", "0:1:-1", "0:1e308:2", "x"],
     "--k": ["0", "1", "2", "-1", "7"],
@@ -483,6 +483,8 @@ def _run_captured(argv):
 
 @settings(deadline=None, max_examples=80)
 @given(argv=cli_argv())
+@example(argv=["purity", "--n", "2", "--b", "0.3", "--t", "1e-308"])
+@example(argv=["thermal", "--n", "2", "--b", "1e17", "--t", "1e-300"])
 def test_run_exits_cleanly_and_writes_all_or_nothing(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, 2)

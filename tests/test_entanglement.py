@@ -162,7 +162,7 @@ def test_two_qubit_separable_examples():
     assert negativity(four_population_state(0.125, 0.5, 0.25, 0.125), SPLIT_11) <= PPT_ATOL
 
 
-@pytest.mark.parametrize("b", [0.0, 0.3, 0.7, 1.5])
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.7, 1.5, 1e17, 1e300])
 def test_critical_temperature_value(b):
     kt = critical_temperature_two_qubit(ChainParams(n=2, b=b))
     assert kt == pytest.approx(1.134593, abs=1e-5)

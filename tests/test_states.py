@@ -163,6 +163,15 @@ def test_build_eigenstate_cap():
         eigenbasis_matrix(13)
 
 
+@pytest.mark.parametrize("n", [0, -1, True, 2.0])
+@pytest.mark.parametrize("build", [lambda n: ground_state(n, 1), label_occupations, eigenbasis_matrix],
+                         ids=["ground_state", "label_occupations", "eigenbasis_matrix"])
+def test_chain_length_follows_chain_params(build, n):
+    label_occupations(1)  # a cached n = 1 must not answer for True
+    with pytest.raises(ValueError, match="chain length"):
+        build(n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), data=st.data())
 def test_eigenstates_normalized(n, data):

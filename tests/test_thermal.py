@@ -102,6 +102,18 @@ def test_inverse_temperature_must_be_non_negative(function, beta):
         function(ChainParams(n=3, b=0.2), beta)
 
 
+@pytest.mark.parametrize("n, b", [(2, 0.3), (2, -1.0), (4, 0.3)])
+def test_huge_inverse_temperature_warns_not_and_reaches_the_ground_state(n, b):
+    # beta*|lam_k| overflows at beta = 1e308; RuntimeWarnings are errors under the test configuration
+    params = ChainParams(n=n, b=b)
+    cold = boltzmann_weights(params, 1e308).probabilities
+    assert cold.tolist() == boltzmann_weights(params, math.inf).probabilities.tolist()
+    assert purity_analytic(params, 1e308) == 1.0
+    assert purity_dense(thermal_density_matrix(params, 1e308)) == pytest.approx(1.0, abs=1e-12)
+    ground = float(label_energies(params) @ cold)
+    assert log_partition_function(params, 1e308) == pytest.approx(-1e308 * ground, rel=1e-12)
+
+
 def test_weights_cap():
     with pytest.raises(SizeLimitError):
         boltzmann_weights(ChainParams(n=21), 1.0)
@@ -405,3 +417,9 @@ def test_zero_temperature_degeneracy_rule_is_shared(data, n, offset):
     dense = purity_dense(thermal_density_matrix(params, math.inf))
     assert abs(purity_analytic(params, math.inf) - dense) <= 1e-12
     assert ground_sector(params) == (index, index + 1)
+
+
+def test_zero_temperature_degeneracy_rule_scales_with_the_coupling():
+    # at j = 1e-13 every |lam_k| is below 1e-12, yet no mode is zero: the ground states are unique
+    assert boltzmann_weights(ChainParams(n=2, j=1e-13), math.inf).probabilities.tolist() == [0, 1, 0, 0]
+    assert purity_analytic(ChainParams(n=4, j=1e-13), math.inf) == 1.0

@@ -147,6 +147,7 @@ def eigenbasis_matrix(n: int) -> np.ndarray:
 
 def sector_index_to_label(r: int, m: int, n: int) -> int:
     """Global label l = r + sum_{s<m} C(n, s)."""
+    ChainParams(n=n)  # the one rule for n
     if not 0 <= m <= n:
         raise ValueError(f"sector must satisfy 0 <= m <= {n}, got {m}")
     if not 1 <= r <= math.comb(n, m):
@@ -156,6 +157,7 @@ def sector_index_to_label(r: int, m: int, n: int) -> int:
 
 def label_to_sector_index(l: int, n: int) -> tuple[int, int]:
     """Inverse of :func:`sector_index_to_label`: label -> (r, m)."""
+    ChainParams(n=n)  # the one rule for n
     if not 1 <= l <= (1 << n):
         raise ValueError(f"label must satisfy 1 <= l <= 2^{n}, got {l}")
     rest = l

@@ -164,8 +164,10 @@ def test_build_eigenstate_cap():
 
 
 @pytest.mark.parametrize("n", [0, -1, True, 2.0])
-@pytest.mark.parametrize("build", [lambda n: ground_state(n, 1), label_occupations, eigenbasis_matrix],
-                         ids=["ground_state", "label_occupations", "eigenbasis_matrix"])
+@pytest.mark.parametrize("build", [lambda n: ground_state(n, 1), label_occupations, eigenbasis_matrix,
+                                   lambda n: sector_index_to_label(1, 0, n), lambda n: label_to_sector_index(1, n)],
+                         ids=["ground_state", "label_occupations", "eigenbasis_matrix", "sector_index_to_label",
+                              "label_to_sector_index"])
 def test_chain_length_follows_chain_params(build, n):
     label_occupations(1)  # a cached n = 1 must not answer for True
     with pytest.raises(ValueError, match="chain length"):

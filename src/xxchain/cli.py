@@ -27,7 +27,7 @@ from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
 from .spectrum import crossing_fields, enumerate_levels, ground_energy, level_runs, log_partition_function
-from .states import eigenbasis_matrix, ground_state, label_occupations
+from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
 from .thermal import (
     boltzmann_weights,
     label_energies,
@@ -228,7 +228,7 @@ def _rows_crossings(config: RunConfig):
 
 
 def _rows_thermal(config: RunConfig):
-    before = np.cumsum([0] + [math.comb(config.n, s) for s in range(config.n)])  # labels below sector m
+    before = np.array(sector_starts(config.n))
     for b, t, beta, params in _points(config):
         probability = boltzmann_weights(params, beta).probabilities  # checks the level cap first
         energy = label_energies(params)
@@ -278,10 +278,11 @@ def _meta_negativity(config: RunConfig) -> dict:
 
 
 def _rows_thermo_limit(config: RunConfig):
+    fields = _field_grid(config)
+    limits = [config.j * thermo_energy_density(b / config.j) for b in fields]  # b/J may overflow: raise now
     for n in config.sizes:
-        for b in _field_grid(config):
+        for b, limit_value in zip(fields, limits):
             density = finite_size_energy_density(n, b, config.j)
-            limit_value = config.j * thermo_energy_density(b / config.j)
             yield {
                 "n": n, "b": b,
                 "energy_density": density,
@@ -336,7 +337,10 @@ def _rows_validate(config: RunConfig):
             except OverflowError:  # large j only: factoring out the lowest level moves printed digits at j = 1
                 shift = min(energies)
                 direct = sum(math.exp(-beta * (energy - shift)) for energy in energies)
-                closed = math.exp(log_partition_function(params, beta) + beta * shift)
+                try:
+                    closed = math.exp(log_partition_function(params, beta) + beta * shift)
+                except OverflowError:  # from beta*|E| ~ 1e16, log Z has lost every digit that Z needs
+                    closed = math.inf
             worst = max(worst, abs(closed - direct) / direct)
     yield "partition-function", worst, tolerance["partition-function"]
 
@@ -509,25 +513,19 @@ def _number_words(x: np.ndarray) -> list:
     return [word for word in cells if np.count_nonzero(word)]
 
 
-@functools.lru_cache(maxsize=64)
-def _text_run(text: str) -> list:
-    """The word columns of one text repeated on every row of a chunk."""
-    return list(_text_words([text]).T)
-
-
 def _csv_chunk(chunk: dict, count: int, columns) -> str:
     # a function of its own, so one chunk's word table is freed before the next chunk's is built
     words, text = [], ""  # text: the cells of a run of one-value columns, and the commas around them
     for name in columns:
         value = chunk[name]
         if isinstance(value, np.ndarray):
-            words += _text_run(text) if text else []
+            words += list(_text_words([text]).T) if text else []
             words += (_number_words(value) if value.ndim == 1 and value.dtype.kind in "fiu"
                       else list(_text_words(_csv_cells(value.tolist())).T))
             text = ","
         else:
             text += _csv_cells([value])[0] + ","
-    words += _text_run(text[:-1] + "\n")
+    words += list(_text_words([text[:-1] + "\n"]).T)
     table = np.empty((len(words), count), np.uint32)
     for row, word in enumerate(words):
         table[row] = word

@@ -89,14 +89,15 @@ def critical_temperature_two_qubit(params: ChainParams) -> float:
     is narrower than ``_KT_TOL`` (well inside the 1e-8 contract); both are in
     units of J, as kT_c is proportional to J.  The result is independent of
     the field, so the margin is evaluated on the field-free levels: at |b| >> J
-    the two one-flip energies would cancel to 0.
+    the two one-flip energies would cancel to 0.  They are taken at J = 1, so
+    t is kT / J and beta = 1/t cannot overflow however small J is.
     """
     if params.n != 2:
         raise ValueError(f"defined for chains of two spins, got n = {params.n}")
-    energies = label_energies(ChainParams(n=2, j=params.j))
+    energies = label_energies(ChainParams(n=2))
 
     def margin(t: float) -> float:
-        beta = 1.0 / (params.j * t)
+        beta = 1.0 / t
         lw = -beta * energies
         aligned = math.log(4.0) + lw[0] + lw[3]
         hi, lo = (lw[1], lw[2]) if lw[1] >= lw[2] else (lw[2], lw[1])

@@ -18,6 +18,8 @@ def thermo_energy_density(b: float) -> float:
     fully polarized at -|b|, and the two branches join continuously at +-1
     (fields within 1e-12 of the edge are routed to the polarized branch).
     """
+    if not math.isfinite(b):
+        raise ValueError(f"field b/J must be finite, got {b!r}")
     magnitude = abs(b)
     if magnitude >= 1.0 - _EDGE_ATOL:
         return -magnitude

@@ -14,7 +14,7 @@ import numpy as np
 
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, check_cap
 
-# largest accepted eigenpair residual ||H v - e v||
+# largest accepted eigenpair residual ||H v - e v|| / max(1, max |H_ij|)
 RESIDUAL_TOL = 1e-8
 
 
@@ -39,9 +39,7 @@ def build_hamiltonian(params: ChainParams) -> DenseHamiltonian:
     n, j, b = params.n, params.j, params.b
     dim = 1 << n
     states = np.arange(dim, dtype=np.int64)
-    flipped = np.zeros(dim, dtype=np.int64)
-    for i in range(n):
-        flipped += (states >> i) & 1
+    flipped = np.bitwise_count(states).astype(np.int64)  # uint8 would wrap in n - 2 * flipped
     h = np.zeros((dim, dim))
     h[states, states] = -b * (n - 2 * flipped)
     for i in range(n - 1):
@@ -53,14 +51,16 @@ def build_hamiltonian(params: ChainParams) -> DenseHamiltonian:
 def diagonalize(h: DenseHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Full eigensystem, eigenvalues ascending, eigenvectors as columns.
 
-    The residual ||H v - e v|| of every pair is checked against
+    The residual ||H v - e v|| of every pair, relative to max(1, max |H_ij|)
+    as rounding errors grow with the entries, is checked against
     ``RESIDUAL_TOL`` and a :class:`NumericalError` is raised on failure.
     """
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(h.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed to converge: {exc}") from exc
-    worst = float(residual_norms(h, eigenvalues, eigenvectors).max())
+    scale = max(1.0, float(h.entries.max()), -float(h.entries.min()))
+    worst = float(residual_norms(h, eigenvalues, eigenvectors).max()) / scale
     if worst > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return eigenvalues, eigenvectors

@@ -30,10 +30,6 @@ class CrossingSet:
     def __post_init__(self):
         self.fields_b.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.fields_b.size
-
 
 def mode_energies(params: ChainParams) -> np.ndarray:
     """Mode energies lam_k = 2*b - 2*j*cos(pi*k/(n+1)), k = 1..n (read-only; entry 0 = mode 1)."""

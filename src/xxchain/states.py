@@ -14,11 +14,14 @@ coefficients.  Index conventions, fixed once here:
   labels l = 1..2^n run over the mode-occupation bitmasks (bit k-1 = mode k)
   sorted by weight m, then by value.  So the sectors m = 0..n come in that
   order, l = r + sum_{s<m} C(n, s), and within a sector the rank r = 1 is
-  always the sector ground state (modes 1..m).
+  always the sector ground state (modes 1..m);
+* :func:`sector_starts` is the one statement of where each sector starts:
+  sector m holds the labels starts[m] + 1 .. starts[m + 1].
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,22 +32,16 @@ import numpy as np
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_cap
 
 
-@lru_cache(maxsize=None)
 def _position_combos(n: int, m: int) -> np.ndarray:
     """Lex-ranked position tuples as 0-based sites, one row per tuple."""
     combos = np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
-    combos = combos.reshape(math.comb(n, m), m)
-    combos.setflags(write=False)
-    return combos
+    return combos.reshape(math.comb(n, m), m)
 
 
-@lru_cache(maxsize=None)
 def _sine_table(n: int) -> np.ndarray:
     """Entry [k-1, l-1] = sin(pi*k*l/(n+1)), evaluated as ((pi/(n+1)) * k) * l, which pins the tables' bits."""
     k = np.arange(1, n + 1, dtype=np.int64)
-    table = np.sin(((np.pi / (n + 1)) * k)[:, None] * k)
-    table.setflags(write=False)
-    return table
+    return np.sin(((np.pi / (n + 1)) * k)[:, None] * k)
 
 
 @lru_cache(maxsize=None)
@@ -133,16 +130,18 @@ def eigenbasis_matrix(n: int) -> np.ndarray:
     ChainParams(n=n)  # the one rule for n
     check_cap(n, MATRIX_CAP, "dense eigenbasis")
     basis = np.zeros((1 << n, 1 << n))
-    offset = 0
+    starts = sector_starts(n)
     for m in range(n + 1):
-        count = math.comb(n, m)
-        rows = sector_basis_indices(n, m)
-        basis[rows, offset : offset + count] = sector_amplitude_matrix(n, m).T
-        offset += count
+        basis[sector_basis_indices(n, m), starts[m] : starts[m + 1]] = sector_amplitude_matrix(n, m).T
     return basis
 
 
 # --- sector / label bookkeeping ---------------------------------------------
+
+
+def sector_starts(n: int) -> list[int]:
+    """Entry m = the number of labels before sector m, sum_{s<m} C(n, s), for m = 0..n + 1 (the last is 2^n)."""
+    return list(itertools.accumulate((math.comb(n, m) for m in range(n + 1)), initial=0))
 
 
 def sector_index_to_label(r: int, m: int, n: int) -> int:
@@ -152,7 +151,7 @@ def sector_index_to_label(r: int, m: int, n: int) -> int:
         raise ValueError(f"sector must satisfy 0 <= m <= {n}, got {m}")
     if not 1 <= r <= math.comb(n, m):
         raise ValueError(f"rank must satisfy 1 <= r <= C({n},{m}), got {r}")
-    return r + sum(math.comb(n, s) for s in range(m))
+    return r + sector_starts(n)[m]
 
 
 def label_to_sector_index(l: int, n: int) -> tuple[int, int]:
@@ -160,10 +159,6 @@ def label_to_sector_index(l: int, n: int) -> tuple[int, int]:
     ChainParams(n=n)  # the one rule for n
     if not 1 <= l <= (1 << n):
         raise ValueError(f"label must satisfy 1 <= l <= 2^{n}, got {l}")
-    rest = l
-    for m in range(n + 1):
-        count = math.comb(n, m)
-        if rest <= count:
-            return rest, m
-        rest -= count
-    raise AssertionError("unreachable")
+    starts = sector_starts(n)
+    m = bisect.bisect_left(starts, l) - 1  # starts[m] < l <= starts[m + 1]
+    return l - starts[m], m

@@ -16,7 +16,7 @@ import numpy as np
 
 from .params import CHUNK_ENTRIES, LEVEL_CAP, MATRIX_CAP, ChainParams, check_cap
 from .spectrum import energies_for_occupation_values, mode_energies, mode_signs
-from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices
+from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices, sector_starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +62,6 @@ class DensityMatrix:
         full.setflags(write=False)
         return full
 
-    @classmethod
-    def from_matrix(cls, entries: np.ndarray) -> "DensityMatrix":
-        """One block over all spin-basis indices."""
-        entries = np.array(entries, dtype=float)
-        return cls(entries.shape[0], ((np.arange(entries.shape[0]), entries),))
-
 
 @lru_cache(maxsize=1)
 def label_energies(params: ChainParams) -> np.ndarray:
@@ -83,10 +77,7 @@ def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     if not beta >= 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
     n = params.n
-    if beta == 0.0:
-        # exact complete mixture (0.5**n is representable; exp/log would wobble ulps)
-        probs = np.full(1 << n, 0.5**n)
-    elif math.isinf(beta):
+    if math.isinf(beta):
         # ground states: every negative mode occupied, every positive one empty
         signs = mode_signs(params)
         bits = np.int64(1) << np.arange(n, dtype=np.int64)
@@ -113,15 +104,15 @@ def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
     ensemble = boltzmann_weights(params, beta)
     storage = np.empty(math.comb(2 * n, n))
     blocks = []
-    offset = start = 0
+    starts = sector_starts(n)
+    offset = 0
     for m in range(n + 1):
-        count = math.comb(n, m)
-        weights = ensemble.probabilities[offset : offset + count]
+        count = starts[m + 1] - starts[m]
+        weights = ensemble.probabilities[starts[m] : starts[m + 1]]
         vectors = sector_amplitude_matrix(n, m)
-        block = storage[start : start + count * count].reshape(count, count)
+        block = storage[offset : offset + count * count].reshape(count, count)
         blocks.append((sector_basis_indices(n, m), np.matmul((vectors * weights[:, None]).T, vectors, out=block)))
-        offset += count
-        start += count * count
+        offset += count * count
     return DensityMatrix(1 << n, tuple(blocks))
 
 

@@ -346,12 +346,24 @@ def test_validate_passes_where_the_partition_sum_overflows(j):
     assert out.endswith("5 checks passed, 0 failed\n")
 
 
-@pytest.mark.parametrize("j", ["1e150", "1e200", "1e300"])
-def test_validate_rejects_the_eigenpair_residual_of_a_huge_coupling(j):
-    # the residual is absolute, so it fails; squaring it must not overflow (RuntimeWarning is an error here)
+@pytest.mark.parametrize("n, j", [("6", "1e7"), ("4", "1e17")])
+def test_validate_gates_the_eigenpair_residual_relative_to_the_largest_entry(n, j):
+    # each argv failed while the gate compared the absolute residual with 1e-8
+    code, out, err = run_captured(["validate", "--n", n, "--j", j])
+    assert (code, err) == (0, "")
+    assert out.endswith("5 checks passed, 0 failed\n")
+
+
+@pytest.mark.parametrize("j", ["1e100", "1e200"])
+def test_validate_fails_a_partition_function_that_overflows_cleanly(j):
+    # beta*|E| ~ j: log Z keeps no digit of Z, and exp of it overflowed into an uncaught OverflowError;
+    # the scaled residuals must not overflow either (RuntimeWarning is an error here)
     code, out, err = run_captured(["validate", "--n", "4", "--j", j])
     assert (code, out) == (2, "")
-    assert re.fullmatch(r"error: eigenpair residual \S+e\+\d+ exceeds 1\.0e-08\n", err)
+    lines = err.splitlines()
+    assert [line.split()[0] for line in lines[1:6]] == ["PASS", "PASS", "PASS", "FAIL", "PASS"]
+    assert lines[4].startswith("FAIL partition-function     worst = inf ")
+    assert lines[-1] == "error: 1 of 5 validation checks failed"
 
 
 @pytest.mark.parametrize("n, j", [("6", "3000"), ("4", "1e4"), ("1", "1e6")])
@@ -485,6 +497,7 @@ def _run_captured(argv):
 @given(argv=cli_argv())
 @example(argv=["purity", "--n", "2", "--b", "0.3", "--t", "1e-308"])
 @example(argv=["thermal", "--n", "2", "--b", "1e17", "--t", "1e-300"])
+@example(argv=["negativity", "--n", "2", "--j", "5e-324", "--b", "0", "--t", "1"])
 def test_run_exits_cleanly_and_writes_all_or_nothing(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 1, 2)

@@ -25,12 +25,18 @@ KT_C = 1 / math.log(1 + math.sqrt(2))
 SPLIT_11 = BipartiteSplit.of(2, (1,))
 
 
+def one_block(matrix):
+    """A DensityMatrix of one block over all spin-basis indices."""
+    matrix = np.array(matrix, dtype=float)
+    return DensityMatrix(len(matrix), ((np.arange(len(matrix)), matrix),))
+
+
 def pure_density(vector):
-    return DensityMatrix.from_matrix(np.outer(vector, vector))
+    return one_block(np.outer(vector, vector))
 
 
 def complete_mixture(n):
-    return DensityMatrix.from_matrix(np.eye(1 << n) / (1 << n))
+    return one_block(np.eye(1 << n) / (1 << n))
 
 
 def singlet_density():
@@ -40,7 +46,7 @@ def singlet_density():
 def four_population_state(p1, p2, p3, p4):
     """The two-site Gibbs form: p1 on |up,up>, p4 on |down,down>, p2 and p3 on the symmetric and antisymmetric flips."""
     flip, exchange = (p2 + p3) / 2, (p2 - p3) / 2
-    return DensityMatrix.from_matrix(
+    return one_block(
         np.array([[p1, 0, 0, 0], [0, flip, exchange, 0], [0, exchange, flip, 0], [0, 0, 0, p4]])
     )
 
@@ -67,7 +73,7 @@ def test_partial_transpose_is_hermitian_and_trace_preserving():
 def test_partial_transpose_product_state_spectrum_unchanged():
     a = np.array([[0.7, 0.1], [0.1, 0.3]])
     b = np.array([[0.6, -0.2], [-0.2, 0.4]])
-    rho = DensityMatrix.from_matrix(np.kron(b, a))  # site 1 varies fastest
+    rho = one_block(np.kron(b, a))  # site 1 varies fastest
     pt = partial_transpose(rho, SPLIT_11)
     assert np.linalg.eigvalsh(pt) == pytest.approx(np.linalg.eigvalsh(rho.entries), abs=1e-12)
 
@@ -100,7 +106,7 @@ def states_and_splits(draw):
         rho = crossing_mixture(n, draw(st.integers(0, n - 1)))
     else:
         matrix = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((1 << n, 1 << n))
-        rho = DensityMatrix.from_matrix(matrix + matrix.T)
+        rho = one_block(matrix + matrix.T)
     return rho, BipartiteSplit.of(n, sites_a)
 
 

@@ -36,6 +36,20 @@ def test_limit_curve_values():
     assert thermo_energy_density(-2.0) == -2.0
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_limit_curve_rejects_a_non_finite_field(b):
+    # nan returned nan and +-inf returned -inf
+    with pytest.raises(ValueError, match="must be finite"):
+        thermo_energy_density(b)
+
+
+def test_thermo_limit_rejects_an_overflowing_field_ratio_before_any_row(capsys):
+    # b/J of the second field overflows: the limit column read -inf; now no row is written
+    assert run(["thermo-limit", "--sizes", "4", "--j", "1e-300", "--b-range", "0:1e10:2"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: field b/J must be finite, got inf\n")
+
+
 def test_limit_curve_continuous_at_edges():
     for b in (1 - 1e-9, 1 + 1e-9, -1 - 1e-9, -1 + 1e-9):
         assert thermo_energy_density(b) == pytest.approx(-1.0, abs=1e-8)

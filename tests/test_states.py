@@ -19,7 +19,7 @@ from xxchain import (
     label_to_sector_index,
     sector_index_to_label,
 )
-from xxchain.states import sector_amplitude_matrix, sector_basis_indices
+from xxchain.states import sector_amplitude_matrix, sector_basis_indices, sector_starts
 
 A1_MINUS = 0.5 * math.sqrt(1 - 1 / math.sqrt(5))
 A1_PLUS = 0.5 * math.sqrt(1 + 1 / math.sqrt(5))
@@ -235,6 +235,7 @@ def test_ground_states_mutually_orthogonal():
 
 
 def test_sector_index_to_label_examples():
+    assert sector_starts(4) == [0, 1, 5, 11, 15, 16]
     assert sector_index_to_label(1, 0, 4) == 1
     assert sector_index_to_label(1, 1, 4) == 2
     assert sector_index_to_label(3, 2, 4) == 8

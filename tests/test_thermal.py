@@ -30,15 +30,21 @@ def crossing_field(n, index):
     return float(crossing_fields(n).fields_b[index])
 
 
+def one_block(matrix):
+    """A DensityMatrix of one block over all spin-basis indices."""
+    matrix = np.array(matrix, dtype=float)
+    return DensityMatrix(len(matrix), ((np.arange(len(matrix)), matrix),))
+
+
 def pure_density(state):
     """|state><state| of a sector eigenstate, as one block over the full spin basis."""
     vector = np.zeros(1 << state.n)
     vector[xxchain.states.sector_basis_indices(state.n, state.m)] = state.amplitudes
-    return DensityMatrix.from_matrix(np.outer(vector, vector))
+    return one_block(np.outer(vector, vector))
 
 
 def complete_mixture(n):
-    return DensityMatrix.from_matrix(np.eye(1 << n) / (1 << n))
+    return one_block(np.eye(1 << n) / (1 << n))
 
 
 def scattered_gibbs_state(params, beta):
@@ -57,11 +63,13 @@ def scattered_gibbs_state(params, beta):
     return rho
 
 
-@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("n", range(1, 21))
 def test_weights_infinite_temperature_exactly_uniform(n):
-    params = ChainParams(n=n, b=0.4)
-    assert np.all(boltzmann_weights(params, 0.0).probabilities == 0.5**n)
-    assert log_partition_function(params, 0.0) == pytest.approx(n * math.log(2), rel=1e-14)
+    # the finite-beta path: exp(-0.0) is 1 and the sum, 2^n, is exact
+    for j in (1.0, 1e-13, 3.0, 1e6):
+        params = ChainParams(n=n, j=j, b=0.4)
+        assert np.all(boltzmann_weights(params, 0.0).probabilities == 0.5**n)
+        assert log_partition_function(params, 0.0) == pytest.approx(n * math.log(2), rel=1e-14)
 
 
 @pytest.mark.parametrize("beta,b", [(0.6, 0.9), (3.0, -0.2)])
@@ -345,7 +353,7 @@ def test_blocked_gibbs_state_holds_one_block_per_sector():
 
 def test_blocks_and_full_matrix_of_other_states_agree():
     vector = np.linspace(-1.0, 1.0, 8) / np.linalg.norm(np.linspace(-1.0, 1.0, 8))
-    for rho in (DensityMatrix.from_matrix(np.outer(vector, vector)), complete_mixture(3), crossing_mixture(5, 2)):
+    for rho in (one_block(np.outer(vector, vector)), complete_mixture(3), crossing_mixture(5, 2)):
         assert purity_dense(rho) == float(np.einsum("ij,ji->", rho.entries, rho.entries))
 
 
@@ -402,7 +410,7 @@ def test_purity_adds_within_a_row_one_product_at_a_time():
     matrix[0, 0] = 1.0
     matrix[0, 1:17] = matrix[1:17, 0] = 2.0**-27
     assert float(np.sum(matrix[0] * matrix[:, 0])) > 1.0
-    assert purity_dense(DensityMatrix.from_matrix(matrix)) == 1.0
+    assert purity_dense(one_block(matrix)) == 1.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,16 +11,17 @@ from .entanglement import (
     negativity,
     partial_transpose,
 )
-from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
 from .params import ChainParams, NumericalError, SizeLimitError
 from .spectrum import (
     crossing_fields,
     enumerate_levels,
+    finite_size_energy_density,
     ground_energy,
     ground_sector,
     log_partition_function,
     mode_energies,
+    thermo_energy_density,
 )
 from .states import (
     eigenbasis_matrix,

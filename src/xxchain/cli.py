@@ -23,10 +23,10 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativity
-from .limits import finite_size_energy_density, thermo_energy_density
 from .oracle import build_hamiltonian, diagonalize
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
-from .spectrum import crossing_fields, enumerate_levels, ground_energy, level_runs, log_partition_function
+from .spectrum import (crossing_fields, enumerate_levels, finite_size_energy_density, ground_energy, level_runs,
+                       log_partition_function, thermo_energy_density)
 from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
 from .thermal import (
     boltzmann_weights,
@@ -40,6 +40,7 @@ _DERIVATIVE_STEP = 1e-5
 # validate's tolerance per check at j <= 1, multiplied by max(1, j): energies and their rounding errors scale with j.
 _VALIDATE_TOLERANCES = {"eigenvalue-multiset": 1e-10, "eigenvector-residual": 1e-8, "purity-identity": 1e-10,
                         "partition-function": 1e-12, "crossing-degeneracy": 1e-12}
+_DIMENSIONLESS_CHECKS = ("purity-identity", "partition-function")  # their scaled tolerances stop at 1e-6
 
 
 class UsageError(Exception):
@@ -279,7 +280,8 @@ def _meta_negativity(config: RunConfig) -> dict:
 
 def _rows_thermo_limit(config: RunConfig):
     fields = _field_grid(config)
-    limits = [config.j * thermo_energy_density(b / config.j) for b in fields]  # b/J may overflow: raise now
+    limits = [config.j * thermo_energy_density(b / config.j) if math.isfinite(b / config.j) else -abs(b)
+              for b in fields]  # a b/J that overflows means |b| >> J, where the limit is the polarized -|b|
     for n in config.sizes:
         for b, limit_value in zip(fields, limits):
             density = finite_size_energy_density(n, b, config.j)
@@ -295,6 +297,7 @@ def _rows_validate(config: RunConfig):
     """One (name, worst, tolerance) row per cross-check of the closed forms."""
     n, j = config.n, config.j
     tolerance = {name: value * max(1.0, j) for name, value in _VALIDATE_TOLERANCES.items()}
+    tolerance.update((name, min(tolerance[name], 1e-6)) for name in _DIMENSIONLESS_CHECKS)
     fields = [-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2]
 
     worst = 0.0

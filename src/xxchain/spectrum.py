@@ -11,6 +11,7 @@ ground state hops between adjacent magnetization sectors.  The full spectrum,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -19,6 +20,7 @@ import numpy as np
 from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_cap
 
 DEGENERACY_ATOL = 1e-12
+_EDGE_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +81,28 @@ def ground_energy(params: ChainParams, k: int) -> float:
     return -(params.n - 2 * k) * params.b - 2.0 * params.j * csum
 
 
+def finite_size_energy_density(n: int, b: float, j: float = 1.0) -> float:
+    """Ground energy per spin of the n-site chain (at a crossing both sectors share it)."""
+    params = ChainParams(n=n, j=j, b=b)
+    return ground_energy(params, int(np.count_nonzero(mode_signs(params) < 0))) / n
+
+
+def thermo_energy_density(b: float) -> float:
+    """Infinite-chain ground energy per spin (coupling = 1 energy unit).
+
+    Inside the critical window |b| < 1 this is
+    (2/pi) * [b*(arccos b - pi/2) - sqrt(1 - b^2)]; outside it the chain is
+    fully polarized at -|b|, and the two branches join continuously at +-1
+    (fields within 1e-12 of the edge are routed to the polarized branch).
+    """
+    if not math.isfinite(b):
+        raise ValueError(f"field b/J must be finite, got {b!r}")
+    magnitude = abs(b)
+    if magnitude >= 1.0 - _EDGE_ATOL:
+        return -magnitude
+    return (2.0 / math.pi) * (b * (math.acos(b) - math.pi / 2) - math.sqrt(1.0 - b * b))
+
+
 def energies_for_occupation_values(params: ChainParams, values: np.ndarray) -> np.ndarray:
     """Vectorized eigenenergies for occupation bitmasks given as integers.
 
@@ -119,13 +143,16 @@ def log_partition_function(params: ChainParams, beta: float) -> float:
 
     Where that form overflows, as it can from beta ~ 1e308, log Z is taken as
     -beta*E_0 + sum_k log(1 + exp(-beta*|lam_k|)), E_0 the ground energy.
+    beta must be finite, and a log Z beyond the float range is a ValueError.
     """
-    if not beta >= 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta!r}")
     lam = mode_energies(params)
     with np.errstate(over="ignore", invalid="ignore"):
         log_z = float(beta * params.n * params.b + np.sum(np.logaddexp(0.0, -beta * lam)))
-        if np.isfinite(log_z):
-            return log_z
-        ground = ground_energy(params, int(np.count_nonzero(lam < 0)))
-        return float(-beta * ground + np.sum(np.log1p(np.exp(-beta * np.abs(lam)))))
+        if not math.isfinite(log_z):
+            ground = ground_energy(params, int(np.count_nonzero(lam < 0)))
+            log_z = float(-beta * ground + np.sum(np.log1p(np.exp(-beta * np.abs(lam)))))
+    if not math.isfinite(log_z):
+        raise ValueError(f"log Z overflows a float at beta = {beta!r}")
+    return log_z

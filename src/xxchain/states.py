@@ -34,8 +34,7 @@ from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_cap
 
 def _position_combos(n: int, m: int) -> np.ndarray:
     """Lex-ranked position tuples as 0-based sites, one row per tuple."""
-    combos = np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
-    return combos.reshape(math.comb(n, m), m)
+    return np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
 
 
 def _sine_table(n: int) -> np.ndarray:
@@ -48,7 +47,7 @@ def _sine_table(n: int) -> np.ndarray:
 def sector_basis_indices(n: int, m: int) -> np.ndarray:
     """Spin-basis integer (bit l-1 = site l flipped) per lex-ranked position tuple."""
     combos = _position_combos(n, m)
-    indices = np.sum(np.int64(1) << combos, axis=1) if m else np.zeros(1, dtype=np.int64)
+    indices = np.sum(np.int64(1) << combos, axis=1)
     indices.setflags(write=False)
     return indices
 

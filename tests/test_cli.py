@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import xxchain.cli
 from xxchain.cli import _OPTION_GROUPS, _SUBCOMMANDS, AxisRange, RunConfig, emit, run
 from xxchain.params import ChainParams, NumericalError
-from xxchain.spectrum import enumerate_levels
+from xxchain.spectrum import crossing_fields, enumerate_levels
 from xxchain.states import label_occupations
 from xxchain.thermal import boltzmann_weights
 
@@ -139,7 +139,7 @@ def test_memory_error_exit_code(monkeypatch):
     def exhausted(params):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    monkeypatch.setattr("xxchain.limits.ground_sector", exhausted)
+    monkeypatch.setattr("xxchain.spectrum.mode_signs", exhausted)
     code, out, err = run_captured(["thermo-limit", "--sizes", "100000000000", "--b", "0"])
     assert code == 2
     assert out == ""
@@ -200,7 +200,7 @@ def test_purity_dense_blank_above_cap(capsys):
     assert line.endswith(",")
 
 
-def test_dense_cap_flag_and_env(capsys):
+def test_dense_cap_flag(capsys):
     assert run(["purity", "--n", "3", "--b", "0.4", "--t", "0.8", "--dense-cap", "2"]) == 0
     assert capsys.readouterr().out.strip().split("\n")[1].endswith(",")
     assert run(["purity", "--n", "3", "--b", "0.4", "--t", "0.8", "--dense-cap", "3"]) == 0
@@ -346,12 +346,37 @@ def test_validate_passes_where_the_partition_sum_overflows(j):
     assert out.endswith("5 checks passed, 0 failed\n")
 
 
+def validate_report(n, j):
+    """Exit code of `validate --n n --j j` and its (verdict, check, tolerance) lines, from stdout or stderr."""
+    code, out, err = run_captured(["validate", "--n", n, "--j", j])
+    lines = (err if code else out).splitlines()[1:6]
+    return code, [(line.split()[0], line.split()[1], float(line.split("(tol ")[1][:-1])) for line in lines]
+
+
 @pytest.mark.parametrize("n, j", [("6", "1e7"), ("4", "1e17")])
 def test_validate_gates_the_eigenpair_residual_relative_to_the_largest_entry(n, j):
-    # each argv failed while the gate compared the absolute residual with 1e-8
-    code, out, err = run_captured(["validate", "--n", n, "--j", j])
-    assert (code, err) == (0, "")
-    assert out.endswith("5 checks passed, 0 failed\n")
+    # each argv failed while the gate compared the absolute residual with 1e-8: no report, only its error
+    code, checks = validate_report(n, j)
+    assert [verdict for verdict, name, _ in checks if name.startswith("eigen")] == ["PASS", "PASS"]
+
+
+@pytest.mark.parametrize("n, j", [("6", "1e12"), ("4", "1e17")])
+def test_validate_caps_the_dimensionless_tolerances(n, j):
+    # with its tolerance scaled by j, up to 1 and 1e5 here, a Z off by 100% passed
+    code, checks = validate_report(n, j)
+    assert code == 2
+    assert [(verdict, name) for verdict, name, _ in checks if verdict == "FAIL"] == [("FAIL", "partition-function")]
+
+
+@pytest.mark.parametrize("n", ["2", "4", "6"])
+def test_validate_fails_at_most_the_partition_function_at_any_coupling(n):
+    # from beta*|E| ~ 1e16, log Z keeps no digit of Z, so partition-function alone may fail
+    for j in ["1e-300", "1e-100", "1e-10", "1", "1e4", "1e8", "1e12", "1e16", "1e20", "1e100", "1e200", "1e300"]:
+        code, checks = validate_report(n, j)
+        failed = [name for verdict, name, _ in checks if verdict == "FAIL"]
+        assert (len(checks), code) == (5, 2 if failed else 0), j
+        assert failed in ([], ["partition-function"]), j
+        assert max(tol for _, name, tol in checks if name in ("purity-identity", "partition-function")) <= 1e-6, j
 
 
 @pytest.mark.parametrize("j", ["1e100", "1e200"])
@@ -511,6 +536,62 @@ def test_run_exits_cleanly_and_writes_all_or_nothing(argv):
             if "json" in argv:  # the JSON meta records the output path
                 out = out.replace('"output": null', f'"output": {json.dumps(target)}', 1)
             assert Path(target).read_bytes() == out.encode()
+
+
+SCALED_CELLS = {"b": 1, "t": 1, "energy": 1, "beta": -1}  # the power of lambda each scales by; the rest are unit-free
+
+
+def _json_rows(argv):
+    code, out, err = run_captured(argv + ["--format", "json"])
+    assert (code, err.startswith("error:")) == (0, False), err
+    document = json.loads(out)
+    return document["rows"], document["meta"].get("kt_c")
+
+
+@st.composite
+def unit_free_case(draw):
+    """A Gibbs-state subcommand at n = 2-6 over temperatures 0, t/2 and t; the field is generic or a crossing."""
+    name = draw(st.sampled_from(["purity", "thermal", "negativity"]))
+    n = draw(st.integers(2, 6))
+    j = draw(st.floats(0.25, 4))
+    crossing = draw(st.none() | st.integers(0, n - 1))
+    b = draw(st.floats(-2, 2)) if crossing is None else float(crossing_fields(n, j).fields_b[crossing])
+    return name, n, j, b, draw(st.floats(0.05, 2)), 2.0 ** draw(st.integers(-60, 60))
+
+
+def _unit_free_argv(name, n, j, b, t):
+    return [name, "--n", str(n), "--j", repr(j), "--b", repr(b), "--t-range", f"0:{t!r}:3"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=unit_free_case())
+@example(case=("purity", 4, 1.0, 0.3, 0.5, 2.0 ** -60))  # every scaled |lam_k| is below an absolute 1e-12
+@example(case=("thermal", 3, 3.0, 0.2, 1.0, 2.0 ** 40))
+def test_gibbs_rows_scale_with_the_unit_of_energy_and_are_even_in_the_field(case):
+    """(j, b, t) -> lambda (j, b, t) with lambda a power of two scales energies by lambda and beta by 1/lambda,
+    bit for bit, and leaves every other cell as it is; b -> -b, a global spin flip, keeps the level multiset,
+    purity and negativity within a few ulps of the exponents' rounding."""
+    name, n, j, b, t, lam = case
+    rows, kt_c = _json_rows(_unit_free_argv(name, n, j, b, t))
+    scaled_rows, scaled_kt_c = _json_rows(_unit_free_argv(name, n, lam * j, lam * b, lam * t))
+    assert scaled_kt_c == (None if kt_c is None else lam * kt_c)
+    for row, scaled in zip(rows, scaled_rows, strict=True):
+        assert scaled == {key: value * lam ** SCALED_CELLS[key] if key in SCALED_CELLS else value
+                          for key, value in row.items()}
+
+    flipped_rows, flipped_kt_c = _json_rows(_unit_free_argv(name, n, j, -b, t))
+    assert flipped_kt_c == kt_c
+    eps = np.finfo(float).eps
+    for temperature in (0.0, t / 2, t):
+        ulps = 16 * eps * (1 + (temperature and 1 / temperature) * (abs(b) + 2 * j))  # beta times lam's rounding
+        at_t = [row for row in rows if row["t"] == temperature]
+        flipped = [row for row in flipped_rows if row["t"] == temperature]
+        for key in ("purity_analytic", "purity_dense", "negativity"):
+            if key in at_t[0]:
+                assert [row[key] for row in flipped] == pytest.approx([row[key] for row in at_t], rel=0, abs=ulps)
+        if "energy" in at_t[0]:
+            levels, flipped_levels = (np.sort([row["energy"] for row in rows]) for rows in (at_t, flipped))
+            np.testing.assert_allclose(flipped_levels, levels, rtol=0, atol=4 * eps * n * (abs(b) + 2 * j))
 
 
 def _csv_column(values: np.ndarray) -> list[str]:

@@ -43,11 +43,15 @@ def test_limit_curve_rejects_a_non_finite_field(b):
         thermo_energy_density(b)
 
 
-def test_thermo_limit_rejects_an_overflowing_field_ratio_before_any_row(capsys):
-    # b/J of the second field overflows: the limit column read -inf; now no row is written
-    assert run(["thermo-limit", "--sizes", "4", "--j", "1e-300", "--b-range", "0:1e10:2"]) == 2
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: field b/J must be finite, got inf\n")
+def test_thermo_limit_is_polarized_where_the_field_ratio_overflows(capsys):
+    # b/J of the second field overflows: the run exited 2 with "field b/J must be finite, got inf"
+    assert run(["thermo-limit", "--sizes", "4", "--j", "1e-300", "--b-range", "0:1e10:2"]) == 0
+    assert capsys.readouterr() == (
+        "n,b,energy_density,limit,deviation\n"
+        "4,0,-5.59016994e-301,-6.36619772e-301,7.7602778e-302\n"
+        "4,1e+10,-1e+10,-1e+10,0\n",
+        "",
+    )
 
 
 def test_limit_curve_continuous_at_edges():

@@ -543,7 +543,7 @@ SCALED_CELLS = {"b": 1, "t": 1, "energy": 1, "beta": -1}  # the power of lambda 
 
 def _json_rows(argv):
     code, out, err = run_captured(argv + ["--format", "json"])
-    assert (code, err.startswith("error:")) == (0, False), err
+    assert code == 0, err
     document = json.loads(out)
     return document["rows"], document["meta"].get("kt_c")
 
@@ -566,7 +566,7 @@ def _unit_free_argv(name, n, j, b, t):
 @settings(deadline=None, max_examples=60)
 @given(case=unit_free_case())
 @example(case=("purity", 4, 1.0, 0.3, 0.5, 2.0 ** -60))  # every scaled |lam_k| is below an absolute 1e-12
-@example(case=("thermal", 3, 3.0, 0.2, 1.0, 2.0 ** 40))
+@example(case=("thermal", 3, 3.0, 0.2, 1.0, 2.0 ** 40))  # at j = 3 a mode energy without its factor j cannot scale
 def test_gibbs_rows_scale_with_the_unit_of_energy_and_are_even_in_the_field(case):
     """(j, b, t) -> lambda (j, b, t) with lambda a power of two scales energies by lambda and beta by 1/lambda,
     bit for bit, and leaves every other cell as it is; b -> -b, a global spin flip, keeps the level multiset,

@@ -68,9 +68,6 @@ class AxisRange:
         if not math.isfinite(self.max - self.min):
             raise UsageError(f"range span max - min overflows, got {self.min}:{self.max}")
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.steps)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -120,13 +117,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_dense_cap(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= MATRIX_CAP:
-        raise argparse.ArgumentTypeError(f"must be in 0..{MATRIX_CAP}, got {text!r}")
-    return value
-
-
 def _parse_site_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -156,7 +146,7 @@ _OPTION_GROUPS = {
     "sizes": [(("--sizes",), {"type": _positive_int, "nargs": "+", "default": [50]})],
     "split-a": [(("--split-a",), {"type": _parse_site_list, "default": None, "metavar": "SITES",
                                   "help": "comma-separated sites of side A (default: first half)"})],
-    "dense-cap": [(("--dense-cap",), {"type": _parse_dense_cap, "default": None, "metavar": "N",
+    "dense-cap": [(("--dense-cap",), {"type": int, "choices": range(MATRIX_CAP + 1), "metavar": "N",
                                       "help": f"largest n for the dense cross-check, 0..{MATRIX_CAP} "
                                               f"(default {DENSE_CHECK_CAP})"})],
     "output": [
@@ -168,11 +158,7 @@ _OPTION_GROUPS = {
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     options = _SUBCOMMANDS[args.subcommand].options
-    if "field" in options and (args.b is None) == (args.b_range is None):
-        raise UsageError("give exactly one of --b or --b-range")
     if "temperature" in options:
-        if (args.t is None) == (args.t_range is None):
-            raise UsageError("give exactly one of --t or --t-range")
         coldest = args.t if args.t is not None else args.t_range.min
         if coldest < 0:
             raise UsageError(f"temperatures must be >= 0, got {coldest}")
@@ -183,7 +169,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         values["sizes"] = tuple(values["sizes"])
     config = RunConfig(**values)
     # the largest size and field bound every level energy, so checking them checks every chain
-    fields = _field_grid(config) if "field" in options else [0.0]
+    fields = _grid(config.b, config.b_range) if "field" in options else [0.0]
     try:
         ChainParams(n=max(config.sizes or (config.n,)), j=config.j, b=max(fields, key=abs))
     except ValueError as exc:
@@ -191,8 +177,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _field_grid(config: RunConfig) -> list[float]:
-    return [config.b] if config.b is not None else [float(v) for v in config.b_range.grid()]
+def _grid(value: float | None, axis: AxisRange | None) -> list[float]:
+    """The one value given, or the inclusive linear grid of the range."""
+    return [value] if value is not None else np.linspace(axis.min, axis.max, axis.steps).tolist()
 
 
 def _dense_check_cap(config: RunConfig) -> int:
@@ -201,8 +188,8 @@ def _dense_check_cap(config: RunConfig) -> int:
 
 def _points(config: RunConfig):
     """(b, t, beta, params) over the field grid, temperatures varying fastest; t = 0 is beta = inf."""
-    temperatures = [config.t] if config.t is not None else [float(v) for v in config.t_range.grid()]
-    for b in _field_grid(config):
+    temperatures = _grid(config.t, config.t_range)
+    for b in _grid(config.b, config.b_range):
         params = ChainParams(n=config.n, j=config.j, b=b)
         for t in temperatures:
             yield b, t, math.inf if t == 0 else 1.0 / t, params
@@ -213,7 +200,7 @@ def _points(config: RunConfig):
 
 
 def _rows_spectrum(config: RunConfig):
-    for b in _field_grid(config):
+    for b in _grid(config.b, config.b_range):
         for values, energy in level_runs(ChainParams(n=config.n, j=config.j, b=b)):  # checks the level cap first
             yield {"n": config.n, "b": b, "occupation": values, "m": np.bitwise_count(values), "energy": energy}
 
@@ -273,13 +260,13 @@ def _meta_negativity(config: RunConfig) -> dict:
     """The n = 2 critical temperature, also printed on stderr."""
     if config.n != 2:
         return {}
-    kt_c = critical_temperature_two_qubit(ChainParams(n=2, j=config.j, b=_field_grid(config)[0]))
+    kt_c = critical_temperature_two_qubit(ChainParams(n=2, j=config.j))
     print(f"kT_c = {kt_c:.6f}", file=sys.stderr)
     return {"kt_c": kt_c}
 
 
 def _rows_thermo_limit(config: RunConfig):
-    fields = _field_grid(config)
+    fields = _grid(config.b, config.b_range)
     limits = [config.j * thermo_energy_density(b / config.j) if math.isfinite(b / config.j) else -abs(b)
               for b in fields]  # a b/J that overflows means |b| >> J, where the limit is the polarized -|b|
     for n in config.sizes:
@@ -299,6 +286,10 @@ def _rows_validate(config: RunConfig):
     tolerance = {name: value * max(1.0, j) for name, value in _VALIDATE_TOLERANCES.items()}
     tolerance.update((name, min(tolerance[name], 1e-6)) for name in _DIMENSIONLESS_CHECKS)
     fields = [-1.2, -0.5, 0.0, 0.31, 0.5, 0.81, 1.2]
+    try:  # the parser checked b = 0; the crossing-degeneracy chains reach |b| = j cos(pi/(n+1))
+        ChainParams(n=n, j=j, b=max(crossing_fields(n, j).fields_b.tolist(), key=abs))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     worst = 0.0
     for b in fields:
@@ -651,11 +642,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
         for group in spec.options:
+            one_of = group in ("field", "temperature")  # a run gives exactly one of these groups' arguments
+            target = p.add_mutually_exclusive_group(required=True) if one_of else p
             for flags, keywords in _OPTION_GROUPS[group]:
                 dest = flags[0].lstrip("-").replace("-", "_")
                 if dest in spec.defaults:
                     keywords = {**keywords, "required": False, "default": spec.defaults[dest]}
-                p.add_argument(*flags, **keywords)
+                target.add_argument(*flags, **keywords)
     return parser
 
 

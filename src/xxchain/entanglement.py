@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, ChainParams, NumericalError
+from .params import CHUNK_ENTRIES, ChainParams, NumericalError, check_index
 from .thermal import DensityMatrix, label_energies
 
 PPT_ATOL = 1e-12
@@ -35,7 +35,7 @@ class BipartiteSplit:
 
     @classmethod
     def of(cls, n: int, sites_a) -> "BipartiteSplit":
-        sites_a = tuple(sorted(int(s) for s in sites_a))
+        sites_a = tuple(sorted(check_index(s, 1, n, "site") for s in sites_a))
         sites_b = tuple(s for s in range(1, n + 1) if s not in set(sites_a))
         return cls(sites_a, sites_b)
 

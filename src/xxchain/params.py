@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 
 # Fixed caps on exponential-cost work.  LEVEL_CAP bounds arrays of 2^n numbers
-# (energies, Boltzmann weights: 8 MiB at n = 20); MATRIX_CAP bounds 2^n x 2^n
-# work (Hamiltonian, eigenbasis, eigenstates, Gibbs states: 128 MiB at n = 12).
-# One byte budget cannot serve both, so there are two.
+# (energies, the label order, Boltzmann weights: 8 MiB each at n = 20);
+# MATRIX_CAP bounds 2^n x 2^n work (Hamiltonian, eigenbasis, eigenstates, Gibbs
+# states: 128 MiB at n = 12).  One byte budget cannot serve both, so there are two.
 LEVEL_CAP = 20
 MATRIX_CAP = 12
 
@@ -36,8 +36,7 @@ class ChainParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"chain length must be a positive integer, got {self.n!r}")
+        check_index(self.n, 1, math.inf, "chain length")
         if not (math.isfinite(self.j) and self.j > 0):
             raise ValueError(f"coupling must be positive and finite, got {self.j!r}")
         # n*(3|b| + 2j) bounds every level energy and every partial sum behind it
@@ -48,6 +47,13 @@ class ChainParams:
         if not math.isfinite(bound):
             raise ValueError(f"level energies overflow: n*(3|b| + 2j) must be finite, got n = {self.n}, "
                              f"j = {self.j!r}, b = {self.b!r}")
+
+
+def check_index(value, low: int, high: int, what: str) -> int:
+    """The one rule for integer arguments: an int (not a bool) in low..high, returned as given."""
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+        raise ValueError(f"{what} must be an integer in {low}..{high}, got {value!r}")
+    return value
 
 
 def check_cap(n: int, limit: int, what: str) -> None:

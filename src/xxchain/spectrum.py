@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_cap
+from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_cap, check_index
 
 DEGENERACY_ATOL = 1e-12
 _EDGE_ATOL = 1e-12
@@ -74,8 +74,7 @@ def ground_sector(params: ChainParams) -> int | tuple[int, int]:
 
 def ground_energy(params: ChainParams, k: int) -> float:
     """Energy of the sector-k ground state (modes 1..k occupied)."""
-    if not 0 <= k <= params.n:
-        raise ValueError(f"sector must satisfy 0 <= k <= {params.n}, got {k}")
+    check_index(k, 0, params.n, "sector k")
     l = np.arange(1, k + 1, dtype=float)
     csum = float(np.sum(np.cos(np.pi * l / (params.n + 1))))
     return -(params.n - 2 * k) * params.b - 2.0 * params.j * csum

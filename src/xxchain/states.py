@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_cap
+from .params import CHUNK_ENTRIES, LEVEL_CAP, MATRIX_CAP, ChainParams, check_cap, check_index
 
 
 def _position_combos(n: int, m: int) -> np.ndarray:
@@ -56,6 +56,7 @@ def sector_basis_indices(n: int, m: int) -> np.ndarray:
 def label_occupations(n: int) -> np.ndarray:
     """Occupation bitmasks in global label order: entry l-1 is the state of label l."""
     ChainParams(n=n)  # the one rule for n
+    check_cap(n, LEVEL_CAP, "label order")
     ordered = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable").astype(np.int64, copy=False)
     ordered.setflags(write=False)
     return ordered
@@ -104,8 +105,7 @@ def _slater_rows(n: int, modes: np.ndarray) -> np.ndarray:
 def ground_state(n: int, k: int) -> SpinBasisVector:
     """Ground state of sector k: modes 1..k occupied."""
     ChainParams(n=n)  # the one rule for n
-    if not 0 <= k <= n:
-        raise ValueError(f"sector must satisfy 0 <= k <= {n}, got {k}")
+    check_index(k, 0, n, "sector k")
     check_cap(n, MATRIX_CAP, "eigenstate construction")
     return SpinBasisVector(n, k, _slater_rows(n, np.arange(k, dtype=np.int64)[None, :])[0])
 
@@ -116,8 +116,8 @@ def sector_amplitude_matrix(n: int, m: int) -> np.ndarray:
 
     No size cap of its own: the callers building dense matrices check theirs.
     """
-    start = sector_index_to_label(1, m, n) - 1
-    values = label_occupations(n)[start : start + math.comb(n, m)]
+    starts = sector_starts(n)
+    values = label_occupations(n)[starts[m] : starts[m + 1]]
     occupied = np.nonzero((values[:, None] >> np.arange(n)) & 1)[1]  # row-major: each row's modes ascending
     rows = _slater_rows(n, occupied.reshape(values.size, m))
     rows.setflags(write=False)
@@ -146,18 +146,15 @@ def sector_starts(n: int) -> list[int]:
 def sector_index_to_label(r: int, m: int, n: int) -> int:
     """Global label l = r + sum_{s<m} C(n, s)."""
     ChainParams(n=n)  # the one rule for n
-    if not 0 <= m <= n:
-        raise ValueError(f"sector must satisfy 0 <= m <= {n}, got {m}")
-    if not 1 <= r <= math.comb(n, m):
-        raise ValueError(f"rank must satisfy 1 <= r <= C({n},{m}), got {r}")
+    check_index(m, 0, n, "sector m")
+    check_index(r, 1, math.comb(n, m), "rank r")
     return r + sector_starts(n)[m]
 
 
 def label_to_sector_index(l: int, n: int) -> tuple[int, int]:
     """Inverse of :func:`sector_index_to_label`: label -> (r, m)."""
     ChainParams(n=n)  # the one rule for n
-    if not 1 <= l <= (1 << n):
-        raise ValueError(f"label must satisfy 1 <= l <= 2^{n}, got {l}")
+    check_index(l, 1, 1 << n, "label")
     starts = sector_starts(n)
     m = bisect.bisect_left(starts, l) - 1  # starts[m] < l <= starts[m + 1]
     return l - starts[m], m

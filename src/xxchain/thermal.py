@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, LEVEL_CAP, MATRIX_CAP, ChainParams, check_cap
+from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_cap, check_index
 from .spectrum import energies_for_occupation_values, mode_energies, mode_signs
 from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices, sector_starts
 
@@ -73,7 +73,6 @@ def label_energies(params: ChainParams) -> np.ndarray:
 
 def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     """Normalized Boltzmann distribution p_l in label order, log-domain safe."""
-    check_cap(params.n, LEVEL_CAP, "Boltzmann weight table")
     if not beta >= 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
     n = params.n
@@ -169,8 +168,7 @@ def crossing_mixture(n: int, k: int) -> DensityMatrix:
     This is the zero-temperature state at the field where those two sectors
     are degenerate, i.e. crossing_fields(n, j).fields_b[k]; its purity is 1/2.
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n - 1 = {n - 1}, got {k}")
+    check_index(k, 0, n - 1, "sector k")
     check_cap(n, MATRIX_CAP, "crossing mixture")
     blocks = []
     for sector in (k, k + 1):

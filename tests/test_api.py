@@ -5,6 +5,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -79,9 +80,10 @@ def test_every_public_function_is_called():
 
 @settings(deadline=None, max_examples=300)
 @given(name=st.sampled_from(sorted(CALLS)), n=SIZES, j=REALS, b=REALS, beta=REALS,
-       k=st.sampled_from([-1, 0, 1, 2, 3, 4, 5]))
+       k=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 2.5, 2.0, True]))
 @example(name="log_partition_function", n=1, j=5e-324, b=0.0, beta=math.inf, k=0)  # returned nan
 @example(name="log_partition_function", n=2, j=1.0, b=-1e17, beta=1e300, k=0)  # returned inf
+@example(name="crossing_mixture", n=4, j=1.0, b=0.0, beta=1.0, k=2.0)  # raised TypeError
 def test_public_functions_reject_or_return_finite_valid_values(name, n, j, b, beta, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -103,3 +105,22 @@ def test_public_functions_reject_or_return_finite_valid_values(name, n, j, b, be
         assert value >= 0
     if isinstance(value, CrossingSet):
         assert np.all(np.diff(value.fields_b) <= 0)
+
+
+# each public entry point that takes an index (a sector, rank, label or site), called with k
+INDEX_CALLS = {
+    "ground_energy": lambda k: xxchain.ground_energy(ChainParams(n=4, b=0.3), k),
+    "ground_state": lambda k: xxchain.ground_state(4, k),
+    "crossing_mixture": lambda k: xxchain.crossing_mixture(4, k),
+    "sector_index_to_label(m)": lambda k: xxchain.sector_index_to_label(1, k, 4),
+    "sector_index_to_label(r)": lambda k: xxchain.sector_index_to_label(k, 1, 4),
+    "label_to_sector_index": lambda k: xxchain.label_to_sector_index(k, 4),
+    "BipartiteSplit.of": lambda k: BipartiteSplit.of(4, [k]),
+}
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("name", sorted(INDEX_CALLS))
+def test_index_arguments_follow_the_rule_for_n(name, k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        INDEX_CALLS[name](k)

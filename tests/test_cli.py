@@ -56,6 +56,15 @@ def test_scalar_and_range_are_exclusive(capsys):
     assert run(["spectrum", "--n", "2"]) == 1
 
 
+def test_help_shows_the_one_of_flags(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        run(["spectrum", "--help"])
+    assert exited.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert "(--b B | --b-range MIN:MAX:STEPS)" in usage
+
+
 def test_bad_ranges_rejected(capsys):
     assert run(["spectrum", "--n", "2", "--b-range", "0:1"]) == 1
     assert run(["spectrum", "--n", "2", "--b-range", "1:0:5"]) == 1
@@ -133,6 +142,8 @@ def test_overflowing_input_is_usage_error(n, big, sign, on_field):
 def test_size_error_exit_code(capsys):
     assert run(["spectrum", "--n", "25", "--b", "0"]) == 2
     assert "n <= 20" in capsys.readouterr().err
+    assert run(["thermal", "--n", "21", "--b", "0", "--t", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: label order needs n <= 20, got n = 21\n")
 
 
 def test_memory_error_exit_code(monkeypatch):
@@ -353,6 +364,15 @@ def validate_report(n, j):
     return code, [(line.split()[0], line.split()[1], float(line.split("(tol ")[1][:-1])) for line in lines]
 
 
+def test_validate_rejects_a_coupling_whose_crossing_chains_overflow():
+    # the crossing-degeneracy check builds chains at |b| = j cos(pi/(n+1)), whose level bound overflows here
+    code, out, err = run_captured(["validate", "--n", "2", "--j", "4e307"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: level energies overflow") and len(err.splitlines()) == 1
+    code, checks = validate_report("2", "2e307")
+    assert (code, [verdict for verdict, _, _ in checks]) == (0, ["PASS"] * 5)
+
+
 @pytest.mark.parametrize("n, j", [("6", "1e7"), ("4", "1e17")])
 def test_validate_gates_the_eigenpair_residual_relative_to_the_largest_entry(n, j):
     # each argv failed while the gate compared the absolute residual with 1e-8: no report, only its error
@@ -485,7 +505,7 @@ def test_streamed_output_matches_whole_document_rendering(blocks, cells):
 # edge values per flag; n stays small but for the cap cases 13 and 21
 FLAG_VALUES = {
     "--n": ["1", "2", "3", "4", "6", "0", "-1", "13", "21", "x"],
-    "--j": ["1", "0.5", "-0", "0", "-1", "5e-324", "160", "1e150", "1e200", "1e300", "1e308", "nan", "inf"],
+    "--j": ["1", "0.5", "-0", "0", "-1", "5e-324", "160", "1e150", "1e200", "1e300", "4e307", "1e308", "nan", "inf"],
     "--b": ["0", "-0", "0.3", "-1.5", "5e-324", "1e17", "1e300", "1e308", "-1e308", "nan", "x"],
     "--t": ["0", "0.05", "1", "-0.5", "1e-300", "1e-308", "5e-324", "1e308", "inf"],
     "--b-range": ["-1:1:3", "0:0:1", "1:-1:2", "0:1:0", "-1e308:1e308:3", "0:1", "a:b:c"],
@@ -493,7 +513,7 @@ FLAG_VALUES = {
     "--k": ["0", "1", "2", "-1", "7"],
     "--sizes": [["4"], ["4", "50"], ["1000"], ["0"], ["x"]],
     "--split-a": ["1", "1,2", "2,1,2", "0", "9", "x"],
-    "--dense-cap": ["0", "4", "12", "13", "-1"],
+    "--dense-cap": ["0", "4", "12", "13", "-1", "2.5"],
     "--format": ["csv", "json", "xml"],
 }
 
@@ -640,7 +660,8 @@ def _reference_document(config, columns, rows):
 
 def _reference_level_rows(config):
     """spectrum or thermal rows from whole arrays: enumerate_levels per field, the whole label order."""
-    n, fields = config.n, config.b_range.grid().tolist()
+    n, axis = config.n, config.b_range
+    fields = np.linspace(axis.min, axis.max, axis.steps).tolist()
     if config.subcommand == "spectrum":
         return [{"n": n, "b": b, "occupation": v, "m": bin(v).count("1"), "energy": energy}
                 for b in fields for v, energy in enumerate(enumerate_levels(ChainParams(n=n, b=b)).tolist())]

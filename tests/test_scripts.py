@@ -16,20 +16,20 @@ from xxchain.cli import _SUBCOMMANDS
 
 SCRIPTS_DIR = Path(__file__).parent.parent / "scripts"
 
-# script -> (extra argv, {file pattern in the docstring: subcommand that writes it})
+# script -> {file pattern in the docstring: subcommand that writes it}
 CASES = {
-    "level_crossing_study.py": ([], {
+    "level_crossing_study.py": {
         "spectrum_n4.csv": "spectrum",
         "crossings_n4.csv": "crossings",
         "thermal_n2_t*.csv": "thermal",
         "limit_overlay.csv": "thermo-limit",
-    }),
-    "purity_surface.py": (["--n", "4"], {
+    },
+    "purity_surface.py": {
         "purity_n2.csv": "purity",
         "purity_deriv_n2.csv": "purity-derivative",
-        "purity_n{N}.csv": "purity",
+        "purity_n10.csv": "purity",
         "negativity_n2.csv": "negativity",
-    }),
+    },
 }
 
 
@@ -42,16 +42,16 @@ def load_script(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_script_writes_every_listed_file(name, tmp_path, monkeypatch):
-    extra_argv, writers = CASES[name]
+    writers = CASES[name]
     script = load_script(name)
     listed = re.findall(r"^  (\S+\.csv)\s", script.__doc__, flags=re.MULTILINE)
     assert sorted(listed) == sorted(writers)
 
-    monkeypatch.setattr(sys, "argv", [name, "--outdir", str(tmp_path)] + extra_argv)
+    monkeypatch.setattr(sys, "argv", [name, "--outdir", str(tmp_path)])
     assert script.main() == 0
 
     for pattern, subcommand in writers.items():
-        paths = sorted(tmp_path.glob(pattern.replace("{N}", "4")))
+        paths = sorted(tmp_path.glob(pattern))
         assert paths, pattern
         header = ",".join(_SUBCOMMANDS[subcommand].columns) + "\n"
         for path in paths:

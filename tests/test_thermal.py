@@ -131,6 +131,15 @@ def test_weights_cap():
         boltzmann_weights(ChainParams(n=21), 1.0)
 
 
+@pytest.mark.parametrize("build", [lambda: xxchain.states.label_occupations(21),
+                                   lambda: label_energies(ChainParams(n=21)),
+                                   lambda: boltzmann_weights(ChainParams(n=21), math.inf)],
+                         ids=["label_occupations", "label_energies", "boltzmann_weights-zero-temperature"])
+def test_label_order_cap(build):
+    with pytest.raises(SizeLimitError, match="label order needs n <= 20"):
+        build()
+
+
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(1, 10), b=st.floats(-3, 3), j=st.floats(0.1, 4), beta=st.floats(1e-3, 50))
 def test_weights_keep_the_bits_of_the_out_of_place_formula(n, b, j, beta):

@@ -642,8 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
         for group in spec.options:
-            one_of = group in ("field", "temperature")  # a run gives exactly one of these groups' arguments
-            target = p.add_mutually_exclusive_group(required=True) if one_of else p
+            target = p.add_mutually_exclusive_group(required=True) if group in ("field", "temperature") else p
             for flags, keywords in _OPTION_GROUPS[group]:
                 dest = flags[0].lstrip("-").replace("-", "_")
                 if dest in spec.defaults:

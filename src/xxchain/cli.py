@@ -103,13 +103,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -131,7 +124,7 @@ DENSE_CHECK_CAP = 10
 # each argument is a RunConfig field
 _OPTION_GROUPS = {
     "n": [(("--n",), {"type": _positive_int, "required": True})],
-    "j": [(("--j",), {"type": _positive_float, "default": 1.0})],
+    "j": [(("--j",), {"type": float, "default": 1.0})],  # ChainParams checks it
     "field": [
         (("--b",), {"type": _finite_float, "help": "single field value"}),
         (("--b-range",), {"type": _parse_axis_range, "metavar": "MIN:MAX:STEPS",

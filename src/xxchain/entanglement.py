@@ -25,16 +25,15 @@ class BipartiteSplit:
     sites_b: tuple[int, ...]
 
     def __post_init__(self):
-        a, b = set(self.sites_a), set(self.sites_b)
-        if not a or not b:
+        sites = sorted(check_index(s, 1, self.n, "site") for s in (*self.sites_a, *self.sites_b))
+        if not self.sites_a or not self.sites_b:
             raise ValueError("both sides of the split must be non-empty")
-        if len(a) != len(self.sites_a) or len(b) != len(self.sites_b) or a & b:
+        if sites != list(range(1, self.n + 1)):  # n sites in 1..n cover 1..n unless one repeats
             raise ValueError(f"split sides must be disjoint and duplicate-free: {self}")
-        if a | b != set(range(1, self.n + 1)):
-            raise ValueError(f"split must cover sites 1..{self.n}: {self}")
 
     @classmethod
     def of(cls, n: int, sites_a) -> "BipartiteSplit":
+        ChainParams(n=n)  # the one rule for n
         sites_a = tuple(sorted(check_index(s, 1, n, "site") for s in sites_a))
         sites_b = tuple(s for s in range(1, n + 1) if s not in set(sites_a))
         return cls(sites_a, sites_b)

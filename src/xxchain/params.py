@@ -37,12 +37,13 @@ class ChainParams:
 
     def __post_init__(self):
         check_index(self.n, 1, math.inf, "chain length")
-        if not (math.isfinite(self.j) and self.j > 0):
+        check_real(self.b, "field")
+        if not check_real(self.j, "coupling") > 0:
             raise ValueError(f"coupling must be positive and finite, got {self.j!r}")
-        # n*(3|b| + 2j) bounds every level energy and every partial sum behind it
+        # n*(3|b| + 2j) bounds every level energy and every partial sum behind it; Python floats do not warn
         try:
-            bound = self.n * (3.0 * abs(self.b) + 2.0 * self.j)
-        except OverflowError:  # n itself is beyond the float range
+            bound = self.n * (3.0 * abs(float(self.b)) + 2.0 * float(self.j))
+        except OverflowError:  # n or b is beyond the float range
             bound = math.inf
         if not math.isfinite(bound):
             raise ValueError(f"level energies overflow: n*(3|b| + 2j) must be finite, got n = {self.n}, "
@@ -53,6 +54,13 @@ def check_index(value, low: int, high: int, what: str) -> int:
     """The one rule for integer arguments: an int (not a bool) in low..high, returned as given."""
     if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
         raise ValueError(f"{what} must be an integer in {low}..{high}, got {value!r}")
+    return value
+
+
+def check_real(value, what: str) -> float:
+    """The one rule for real arguments: a finite int or float (not a bool), returned as given."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not -math.inf < value < math.inf:
+        raise ValueError(f"{what} must be finite and real (an int or float), got {value!r}")
     return value
 
 

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_cap, check_index
+from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_cap, check_index, check_real
 
 DEGENERACY_ATOL = 1e-12
 _EDGE_ATOL = 1e-12
@@ -94,9 +94,7 @@ def thermo_energy_density(b: float) -> float:
     fully polarized at -|b|, and the two branches join continuously at +-1
     (fields within 1e-12 of the edge are routed to the polarized branch).
     """
-    if not math.isfinite(b):
-        raise ValueError(f"field b/J must be finite, got {b!r}")
-    magnitude = abs(b)
+    magnitude = abs(check_real(b, "field b/J"))
     if magnitude >= 1.0 - _EDGE_ATOL:
         return -magnitude
     return (2.0 / math.pi) * (b * (math.acos(b) - math.pi / 2) - math.sqrt(1.0 - b * b))

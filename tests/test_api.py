@@ -116,6 +116,8 @@ INDEX_CALLS = {
     "sector_index_to_label(r)": lambda k: xxchain.sector_index_to_label(k, 1, 4),
     "label_to_sector_index": lambda k: xxchain.label_to_sector_index(k, 4),
     "BipartiteSplit.of": lambda k: BipartiteSplit.of(4, [k]),
+    "BipartiteSplit.of(n)": lambda k: BipartiteSplit.of(k, [1]),
+    "BipartiteSplit": lambda k: BipartiteSplit((1, k), (3, 4)),
 }
 
 
@@ -124,3 +126,22 @@ INDEX_CALLS = {
 def test_index_arguments_follow_the_rule_for_n(name, k):
     with pytest.raises(ValueError, match="must be an integer"):
         INDEX_CALLS[name](k)
+
+
+# each public entry point that takes a real number (a coupling or a field), called with x
+REAL_CALLS = {
+    "ChainParams(j)": lambda x: ChainParams(n=2, j=x),
+    "ChainParams(b)": lambda x: ChainParams(n=2, b=x),
+    "thermo_energy_density": lambda x: xxchain.thermo_energy_density(x),
+}
+
+
+@pytest.mark.parametrize("x", [1j, None, "0.3", True, np.float32(3e38)], ids=repr)
+@pytest.mark.parametrize("name", sorted(REAL_CALLS))
+def test_real_arguments_follow_one_rule(name, x):
+    """Not an int or float, or a bool: a ValueError with a message, and no warning on the way (float32 3e38
+    doubled overflows in float32)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite and real"):
+            REAL_CALLS[name](x)

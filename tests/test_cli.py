@@ -614,6 +614,46 @@ def test_gibbs_rows_scale_with_the_unit_of_energy_and_are_even_in_the_field(case
             np.testing.assert_allclose(flipped_levels, levels, rtol=0, atol=4 * eps * n * (abs(b) + 2 * j))
 
 
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(1, 199), j=st.floats(0.25, 4))
+def test_crossings_are_odd_under_the_spin_flip(n, j):
+    """b -> -b maps the k-th crossing onto the (n+1-k)-th: b_k = -b_{n+1-k} within a few ulps of j."""
+    fields = np.array([row["b_k"] for row in _json_rows(["crossings", "--n", str(n), "--j", repr(j)])[0]])
+    np.testing.assert_allclose(fields, -fields[::-1], rtol=0, atol=4 * np.finfo(float).eps * j)
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(1, 8), j=st.floats(0.25, 4), b=st.floats(-2, 2), t=st.floats(0.05, 2))
+def test_purity_derivative_is_odd_in_the_field(n, j, b, t):
+    """Purity is even in b, so its centered difference is odd, up to the rounding of the difference over 2h."""
+    rows, flipped = (_json_rows(["purity-derivative", "--n", str(n), "--j", repr(j), "--b", repr(field),
+                                 "--t-range", f"0:{t!r}:3"])[0] for field in (b, -b))
+    assert [-row["dpurity_db"] for row in flipped] == pytest.approx([row["dpurity_db"] for row in rows],
+                                                                    rel=0, abs=1e-9)
+
+
+@st.composite
+def split_case(draw):
+    """A chain of n = 2-6 sites and a side A that leaves side B non-empty."""
+    n = draw(st.integers(2, 6))
+    sites_a = draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+    return n, sorted(sites_a), draw(st.floats(0.25, 4)), draw(st.floats(-2, 2)), draw(st.floats(0.05, 2))
+
+
+@settings(deadline=None, max_examples=15)
+@given(case=split_case())
+def test_negativity_is_the_same_for_the_mirrored_and_the_swapped_split(case):
+    """The mirror l -> n+1-l of the chain, and A|B -> B|A, leave the negativity as it is, within a few ulps."""
+    n, sites_a, j, b, t = case
+    mirrored = sorted(n + 1 - site for site in sites_a)
+    sites_b = [site for site in range(1, n + 1) if site not in sites_a]
+    base, *others = ([row["negativity"] for row in _json_rows(
+        ["negativity", "--n", str(n), "--j", repr(j), "--b", repr(b), "--t-range", f"0:{t!r}:3",
+         "--split-a", ",".join(map(str, sites))])[0]] for sites in (sites_a, mirrored, sites_b))
+    for other in others:
+        assert other == pytest.approx(base, rel=0, abs=1e-14)
+
+
 def _csv_column(values: np.ndarray) -> list[str]:
     """The cells emit writes for one array column."""
     out = io.StringIO()

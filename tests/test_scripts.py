@@ -18,13 +18,11 @@ SCRIPTS_DIR = Path(__file__).parent.parent / "scripts"
 
 # script -> {file pattern in the docstring: subcommand that writes it}
 CASES = {
-    "level_crossing_study.py": {
+    "datasets.py": {
         "spectrum_n4.csv": "spectrum",
         "crossings_n4.csv": "crossings",
         "thermal_n2_t*.csv": "thermal",
         "limit_overlay.csv": "thermo-limit",
-    },
-    "purity_surface.py": {
         "purity_n2.csv": "purity",
         "purity_deriv_n2.csv": "purity-derivative",
         "purity_n10.csv": "purity",

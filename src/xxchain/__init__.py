@@ -3,73 +3,37 @@
 Closed-form spectra and spin-basis eigenstates, thermal Gibbs states with an
 analytic purity formula, two-qubit entanglement thresholds, thermodynamic-limit
 energies, and a brute-force dense oracle everything is validated against.
+
+Each public name imports its module on first use, so ``import xxchain`` loads no numpy.
 """
 
-from .entanglement import (
-    BipartiteSplit,
-    critical_temperature_two_qubit,
-    negativity,
-    partial_transpose,
-)
-from .oracle import build_hamiltonian, diagonalize
-from .params import ChainParams, NumericalError, SizeLimitError
-from .spectrum import (
-    crossing_fields,
-    enumerate_levels,
-    finite_size_energy_density,
-    ground_energy,
-    ground_sector,
-    log_partition_function,
-    mode_energies,
-    thermo_energy_density,
-)
-from .states import (
-    eigenbasis_matrix,
-    ground_state,
-    label_occupations,
-    label_to_sector_index,
-    sector_index_to_label,
-)
-from .thermal import (
-    DensityMatrix,
-    boltzmann_weights,
-    crossing_mixture,
-    label_energies,
-    purity_analytic,
-    purity_dense,
-    thermal_density_matrix,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteSplit",
-    "ChainParams",
-    "DensityMatrix",
-    "NumericalError",
-    "SizeLimitError",
-    "boltzmann_weights",
-    "build_hamiltonian",
-    "critical_temperature_two_qubit",
-    "crossing_fields",
-    "crossing_mixture",
-    "diagonalize",
-    "eigenbasis_matrix",
-    "enumerate_levels",
-    "finite_size_energy_density",
-    "ground_energy",
-    "ground_sector",
-    "ground_state",
-    "label_energies",
-    "label_occupations",
-    "label_to_sector_index",
-    "log_partition_function",
-    "mode_energies",
-    "negativity",
-    "partial_transpose",
-    "purity_analytic",
-    "purity_dense",
-    "sector_index_to_label",
-    "thermal_density_matrix",
-    "thermo_energy_density",
-]
+# each module and the public names it defines
+_EXPORTS = {
+    "entanglement": ("BipartiteSplit", "critical_temperature_two_qubit", "negativity", "partial_transpose"),
+    "oracle": ("build_hamiltonian", "diagonalize"),
+    "params": ("ChainParams", "NumericalError", "SizeLimitError"),
+    "spectrum": ("crossing_fields", "enumerate_levels", "finite_size_energy_density", "ground_energy",
+                 "ground_sector", "log_partition_function", "mode_energies", "thermo_energy_density"),
+    "states": ("eigenbasis_matrix", "ground_state", "label_occupations", "label_to_sector_index",
+               "sector_index_to_label"),
+    "thermal": ("DensityMatrix", "boltzmann_weights", "crossing_mixture", "label_energies", "purity_analytic",
+                "purity_dense", "thermal_density_matrix"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # Fixed caps on exponential-cost work.  LEVEL_CAP bounds arrays of 2^n numbers
@@ -28,7 +29,7 @@ class NumericalError(RuntimeError):
 class ChainParams:
     """Physical configuration: ``n`` spins, coupling ``j`` > 0 and transverse field ``b``.
 
-    ``j`` and ``b`` must keep n*(3|b| + 2j) finite, so no level energy overflows.
+    ``j`` and ``b`` must keep n*(3|b| + 2j) finite, so no level energy overflows; they are kept as Python floats.
     """
 
     n: int
@@ -37,13 +38,14 @@ class ChainParams:
 
     def __post_init__(self):
         check_index(self.n, 1, math.inf, "chain length")
-        check_real(self.b, "field")
-        if not check_real(self.j, "coupling") > 0:
+        object.__setattr__(self, "b", check_real(self.b, "field"))
+        object.__setattr__(self, "j", check_real(self.j, "coupling"))
+        if not self.j > 0:
             raise ValueError(f"coupling must be positive and finite, got {self.j!r}")
         # n*(3|b| + 2j) bounds every level energy and every partial sum behind it; Python floats do not warn
         try:
-            bound = self.n * (3.0 * abs(float(self.b)) + 2.0 * float(self.j))
-        except OverflowError:  # n or b is beyond the float range
+            bound = self.n * (3.0 * abs(self.b) + 2.0 * self.j)
+        except OverflowError:  # n is beyond the float range
             bound = math.inf
         if not math.isfinite(bound):
             raise ValueError(f"level energies overflow: n*(3|b| + 2j) must be finite, got n = {self.n}, "
@@ -58,10 +60,20 @@ def check_index(value, low: int, high: int, what: str) -> int:
 
 
 def check_real(value, what: str) -> float:
-    """The one rule for real arguments: a finite int or float (not a bool), returned as given."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not -math.inf < value < math.inf:
+    """The one rule for real arguments: an int or float (not a bool) in the finite float range, as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{what} must be finite and real (an int or float), got {value!r}")
-    return value
+    return float(value)
+
+
+def check_beta(value, finite: bool = False) -> float:
+    """The rule for an inverse temperature: an int or float (not a bool) >= 0 in the float range, or
+    math.inf unless finite is asked for; returned as a float."""
+    top = sys.float_info.max if finite else math.inf
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not (
+            0 <= value <= sys.float_info.max or value == top):
+        raise ValueError(f"inverse temperature must be {'finite and ' if finite else ''}>= 0, got {value!r}")
+    return float(value)
 
 
 def check_cap(n: int, limit: int, what: str) -> None:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_cap, check_index, check_real
+from .params import CHUNK_ENTRIES, LEVEL_CAP, ChainParams, check_beta, check_cap, check_index, check_real
 
 DEGENERACY_ATOL = 1e-12
 _EDGE_ATOL = 1e-12
@@ -94,9 +94,9 @@ def thermo_energy_density(b: float) -> float:
     fully polarized at -|b|, and the two branches join continuously at +-1
     (fields within 1e-12 of the edge are routed to the polarized branch).
     """
-    magnitude = abs(check_real(b, "field b/J"))
-    if magnitude >= 1.0 - _EDGE_ATOL:
-        return -magnitude
+    b = check_real(b, "field b/J")
+    if abs(b) >= 1.0 - _EDGE_ATOL:
+        return -abs(b)
     return (2.0 / math.pi) * (b * (math.acos(b) - math.pi / 2) - math.sqrt(1.0 - b * b))
 
 
@@ -142,8 +142,7 @@ def log_partition_function(params: ChainParams, beta: float) -> float:
     -beta*E_0 + sum_k log(1 + exp(-beta*|lam_k|)), E_0 the ground energy.
     beta must be finite, and a log Z beyond the float range is a ValueError.
     """
-    if not 0 <= beta < math.inf:
-        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta!r}")
+    beta = check_beta(beta, finite=True)
     lam = mode_energies(params)
     with np.errstate(over="ignore", invalid="ignore"):
         log_z = float(beta * params.n * params.b + np.sum(np.logaddexp(0.0, -beta * lam)))

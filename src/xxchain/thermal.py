@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_cap, check_index
+from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_beta, check_cap, check_index
 from .spectrum import energies_for_occupation_values, mode_energies, mode_signs
 from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices, sector_starts
 
@@ -73,8 +73,7 @@ def label_energies(params: ChainParams) -> np.ndarray:
 
 def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     """Normalized Boltzmann distribution p_l in label order, log-domain safe."""
-    if not beta >= 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
+    beta = check_beta(beta)
     n = params.n
     if math.isinf(beta):
         # ground states: every negative mode occupied, every positive one empty
@@ -122,8 +121,7 @@ def purity_analytic(params: ChainParams, beta: float) -> float:
     decaying exponentials only).  beta = math.inf returns the limit: each
     zero mode (see :func:`mode_signs`) contributes 1/2, every other mode 1.
     """
-    if not beta >= 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta!r}")
+    beta = check_beta(beta)
     if math.isinf(beta):
         return float(np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0)))
     lam = mode_energies(params)

@@ -1,8 +1,13 @@
-"""Every public function of xxchain at edge values: a ValueError with a message, or finite, valid values."""
+"""The public API: its one export table, and every public function at edge values (a ValueError with a
+message, or finite, valid values)."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +61,13 @@ CALLS = {
     "thermo_energy_density": lambda n, j, b, beta, k: xxchain.thermo_energy_density(b),
 }
 EDGES = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e17, 1e300, 1e308, math.inf, math.nan]
-REALS = st.builds(lambda value, sign: sign * value, st.sampled_from(EDGES), st.sampled_from([1.0, -1.0]))
+FLOATS = st.builds(lambda value, sign: sign * value, st.sampled_from(EDGES), st.sampled_from([1.0, -1.0]))
+# a real argument may also be an int, or a numpy float, and the result is the same Python type
+INTS = st.builds(lambda value, sign: sign * value, st.sampled_from([0, 1, 2, 10**17, 10**300, 10**400]),
+                 st.sampled_from([1, -1]))
+REALS = st.one_of(FLOATS, FLOATS.map(np.float64), INTS)
+FLOAT_RESULTS = {"critical_temperature_two_qubit", "finite_size_energy_density", "ground_energy",
+                 "log_partition_function", "negativity", "purity_analytic", "purity_dense", "thermo_energy_density"}
 # small chains and the first size over each cap: the functions without a cap allocate O(n), or 2^n at n <= 21
 SIZES = st.sampled_from([0, 1, 2, 3, 4, MATRIX_CAP + 1, LEVEL_CAP + 1])
 
@@ -78,12 +89,50 @@ def test_every_public_function_is_called():
     assert functions == set(CALLS)
 
 
+def _fresh_stdout(code: str) -> str:
+    """What ``python -c code`` prints in a new interpreter that imports this xxchain."""
+    source = str(Path(xxchain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    code = "import sys; before = set(sys.modules); import xxchain; print(sorted(set(sys.modules) - before))"
+    assert _fresh_stdout(code) == "['xxchain']\n"
+
+
+def test_dir_lists_every_public_name_before_first_use():
+    assert _fresh_stdout("import xxchain; print(set(xxchain.__all__) <= set(dir(xxchain)))") == "True\n"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from xxchain import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == xxchain.__all__
+
+
+def test_each_public_name_is_defined_by_the_module_its_table_entry_names():
+    assert {name: getattr(xxchain, name).__module__ for name in xxchain.__all__} == {
+        name: f"xxchain.{module}" for name, module in xxchain._MODULE_OF.items()}
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'xxchain' has no attribute 'spectra'$"):
+        xxchain.spectra
+    assert not hasattr(xxchain, "ChainParam")
+
+
 @settings(deadline=None, max_examples=300)
 @given(name=st.sampled_from(sorted(CALLS)), n=SIZES, j=REALS, b=REALS, beta=REALS,
        k=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 2.5, 2.0, True]))
 @example(name="log_partition_function", n=1, j=5e-324, b=0.0, beta=math.inf, k=0)  # returned nan
 @example(name="log_partition_function", n=2, j=1.0, b=-1e17, beta=1e300, k=0)  # returned inf
 @example(name="crossing_mixture", n=4, j=1.0, b=0.0, beta=1.0, k=2.0)  # raised TypeError
+@example(name="thermo_energy_density", n=1, j=1.0, b=2, beta=0.0, k=0)  # returned the int -2
+@example(name="ground_energy", n=2, j=1.0, b=np.float64(0.3), beta=0.0, k=1)  # returned np.float64
+@example(name="purity_analytic", n=2, j=1.0, b=0.3, beta=10**400, k=0)  # raised OverflowError
 def test_public_functions_reject_or_return_finite_valid_values(name, n, j, b, beta, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -93,6 +142,8 @@ def test_public_functions_reject_or_return_finite_valid_values(name, n, j, b, be
             assert str(exc)
             return
     assert all(np.all(np.isfinite(array)) for array in _arrays(value))
+    if name in FLOAT_RESULTS:
+        assert type(value) is float
     rounding = 64 * np.finfo(float).eps
     if isinstance(value, ThermalEnsemble):
         assert np.all(value.probabilities >= 0)
@@ -136,11 +187,11 @@ REAL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("x", [1j, None, "0.3", True, np.float32(3e38)], ids=repr)
+@pytest.mark.parametrize("x", [1j, None, "0.3", True, np.float32(3e38), pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("name", sorted(REAL_CALLS))
 def test_real_arguments_follow_one_rule(name, x):
-    """Not an int or float, or a bool: a ValueError with a message, and no warning on the way (float32 3e38
-    doubled overflows in float32)."""
+    """Not an int or float, a bool, or an int beyond the float range: a ValueError with a message, and no warning
+    on the way (float32 3e38 doubled overflows in float32)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite and real"):

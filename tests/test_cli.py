@@ -531,20 +531,13 @@ def cli_argv(draw):
     return argv
 
 
-def _run_captured(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(deadline=None, max_examples=80)
 @given(argv=cli_argv())
 @example(argv=["purity", "--n", "2", "--b", "0.3", "--t", "1e-308"])
 @example(argv=["thermal", "--n", "2", "--b", "1e17", "--t", "1e-300"])
 @example(argv=["negativity", "--n", "2", "--j", "5e-324", "--b", "0", "--t", "1"])
 def test_run_exits_cleanly_and_writes_all_or_nothing(argv):
-    code, out, err = _run_captured(argv)
+    code, out, err = run_captured(argv)
     assert code in (0, 1, 2)
     if code:
         assert out == ""
@@ -552,7 +545,7 @@ def test_run_exits_cleanly_and_writes_all_or_nothing(argv):
     elif "output" in _SUBCOMMANDS[argv[0]].options:
         with tempfile.TemporaryDirectory() as directory:
             target = os.path.join(directory, "out")
-            assert _run_captured(argv + ["-o", target])[:2] == (0, "")
+            assert run_captured(argv + ["-o", target])[:2] == (0, "")
             if "json" in argv:  # the JSON meta records the output path
                 out = out.replace('"output": null', f'"output": {json.dumps(target)}', 1)
             assert Path(target).read_bytes() == out.encode()
@@ -668,12 +661,15 @@ FLOAT_EDGES = [9.9999999995e-05, 9.9999999994e-05, 999999999.5, 999999999.4, 0.0
 # a nine-digit decimal, then a 5: a tie at nine significant digits, exact in binary from 1e8 to 1e10
 DECIMAL_TIES = st.builds(lambda digits, exponent: float(f"{digits}5e{exponent}"),
                          st.integers(10**8, 10**9 - 1), st.integers(-330, 298))
+# one ulp below a power of ten, where log10 rounds up to the next decade: across the fixed/exponent switch and far out
+ULP_BELOW_POWERS = [sign * float(np.nextafter(10.0**k, 0)) for k in [*range(-5, 10), -300, 308] for sign in (1, -1)]
 INT_EDGES = [sign * 10**k + step for k in range(19) for step in (-1, 0, 1) for sign in (1, -1)] + [-2**63, 2**63 - 1]
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.lists(st.one_of(st.floats(), st.sampled_from(FLOAT_EDGES), DECIMAL_TIES,
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(FLOAT_EDGES + ULP_BELOW_POWERS), DECIMAL_TIES,
                           DECIMAL_TIES.map(lambda tie: tie * 10**-9)), min_size=1, max_size=30))
+@example(ULP_BELOW_POWERS)
 def test_csv_float_cells_match_printf(values):
     assert _csv_column(np.array(values)) == ["%.9g" % value for value in values]
 

@@ -40,6 +40,13 @@ def test_matrix_is_symmetric_and_sector_block_diagonal():
     assert np.all(h[mask] == 0.0)
 
 
+@pytest.mark.parametrize("b", [4 * 10**18, -10**19, 10**300], ids=["4e18", "-1e19", "1e300"])
+def test_an_int_field_builds_the_matrix_of_its_float(b):
+    """An int field is used as its float, so the diagonal -b * (n - 2 * flipped) never wraps or overflows int64."""
+    h = build_hamiltonian(ChainParams(n=3, b=b)).entries
+    assert np.array_equal(h, build_hamiltonian(ChainParams(n=3, b=float(b))).entries)
+
+
 @pytest.mark.parametrize("b", [0.0, 0.45, 1.2])
 def test_spectrum_negates_under_field_reversal(b):
     plus = diagonalize(build_hamiltonian(ChainParams(n=4, b=b)))[0]

@@ -288,6 +288,20 @@ def test_log_partition_function_avoids_overflow():
     assert log_z > math.log(sys.float_info.max)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_log_partition_function_fallback_matches_a_log_space_level_sum(n):
+    """At j = 1e-300 and beta = 1.7e308, beta*n overflows, so log Z comes from -beta*E_0 + sum_k log(1 +
+    exp(-beta*|lam_k|)). At each crossing that equals -beta*E_0 + log sum_v exp(-beta*(E_v - E_0)) over the 2^n
+    levels, where the zero mode adds ln 2 (n = 2: 170000000.6931472)."""
+    j, beta = 1e-300, 1.7e308
+    assert math.isinf(beta * n)
+    for b in crossing_fields(n, j).fields_b.tolist():
+        levels = enumerate_levels(ChainParams(n=n, j=j, b=b))
+        ground = float(levels.min())
+        reference = -beta * ground + math.log(math.fsum(np.exp(-beta * (levels - ground)).tolist()))
+        assert log_partition_function(ChainParams(n=n, j=j, b=b), beta) == pytest.approx(reference, rel=1e-14)
+
+
 def test_negative_beta_rejected():
     with pytest.raises(ValueError):
         log_partition_function(ChainParams(n=2), -0.1)

@@ -101,11 +101,12 @@ def test_weights_normalized(n, b, beta):
     assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("beta", [math.nan, -0.1])
+@pytest.mark.parametrize("beta", [math.nan, -0.1, True, pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize(
     "function", [log_partition_function, boltzmann_weights, purity_analytic, thermal_density_matrix]
 )
 def test_inverse_temperature_must_be_non_negative(function, beta):
+    """Below 0, nan, a bool, or an int beyond the float range: a ValueError."""
     with pytest.raises(ValueError):
         function(ChainParams(n=3, b=0.2), beta)
 

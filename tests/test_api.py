@@ -62,7 +62,7 @@ CALLS = {
 }
 EDGES = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e17, 1e300, 1e308, math.inf, math.nan]
 FLOATS = st.builds(lambda value, sign: sign * value, st.sampled_from(EDGES), st.sampled_from([1.0, -1.0]))
-# a real argument may also be an int, or a numpy float, and the result is the same Python type
+# a real argument may also be an int, one beyond the float range included, or a numpy float; scalar results are floats
 INTS = st.builds(lambda value, sign: sign * value, st.sampled_from([0, 1, 2, 10**17, 10**300, 10**400]),
                  st.sampled_from([1, -1]))
 REALS = st.one_of(FLOATS, FLOATS.map(np.float64), INTS)

@@ -8,7 +8,8 @@ an output change is intended, by writing ``run(argv)``'s stdout to it.
 ``tests/golden/digests.json`` pins outputs too large to commit, at the sizes
 where chunk and block boundaries are crossed, by argv, byte count and SHA-256.
 ``tests/golden/coupling_digests.json`` pins outputs at couplings j other than 1
-the same way, at fields away from every crossing.
+the same way, at fields away from every crossing.  A coverage test asks for a
+pin of every subcommand in every format, and one at j != 1 where --j is taken.
 ``validate`` runs in a fresh interpreter with one BLAS thread: the last digit
 of its worst values depends on the thread count.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from xxchain.cli import run
+from xxchain.cli import _OPTION_GROUPS, _SUBCOMMANDS, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS = {name: entry for path in ("digests.json", "coupling_digests.json")
@@ -46,6 +47,12 @@ CASES = {
     "spectrum_n3.json": ["spectrum", "--n", "3", "--b", "0.5", "--format", "json"],
     "negativity_n2.json": ["negativity", "--n", "2", "--b", "0.3", "--t-range", "0.5:1.5:3", "--format", "json"],
     "thermo_limit.json": ["thermo-limit", "--sizes", "4", "--b", "0.5", "--format", "json"],
+    "crossings_n4.json": ["crossings", "--n", "4", "--format", "json"],
+    "purity_derivative_n3.json": ["purity-derivative", "--n", "3", "--b-range", "-0.5:0.5:3", "--t-range", "0.5:1:2",
+                                  "--format", "json"],
+    # above the dense cap: purity_dense is a blank cell in CSV and null in JSON
+    "purity_n11.csv": ["purity", "--n", "11", "--b", "0.3", "--t-range", "0.5:1:2"],
+    "purity_n11.json": ["purity", "--n", "11", "--b", "0.3", "--t-range", "0.5:1:2", "--format", "json"],
 }
 
 
@@ -73,3 +80,21 @@ def test_cli_output_matches_digest(name, capsysbinary):
         assert run(entry["argv"]) == 0
         data = capsysbinary.readouterr().out
     assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"], entry["sha256"])
+
+
+def _pinned_kind(argv):
+    """(subcommand, format, j) of a pinned argv."""
+    def value(flag, default):
+        return argv[argv.index(flag) + 1] if flag in argv else default
+    return argv[0], value("--format", "csv"), float(value("--j", "1"))
+
+
+def test_every_kind_of_output_is_pinned():
+    """Each subcommand that writes data has a pin in every format, and each that takes --j one at j != 1."""
+    pinned = {_pinned_kind(argv) for argv in [*CASES.values(), *(entry["argv"] for entry in DIGESTS.values())]}
+    formats = dict(_OPTION_GROUPS["output"])[("--format",)]["choices"]
+    missing = [(name, fmt) for name, spec in _SUBCOMMANDS.items() if "output" in spec.options for fmt in formats
+               if not any(kind[:2] == (name, fmt) for kind in pinned)]
+    missing += [(name, "j != 1") for name, spec in _SUBCOMMANDS.items() if "j" in spec.options
+                if not any(kind[0] == name and kind[2] != 1 for kind in pinned)]
+    assert missing == []

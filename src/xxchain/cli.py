@@ -24,7 +24,7 @@ import numpy as np
 
 from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativity
 from .oracle import build_hamiltonian, diagonalize
-from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, SizeLimitError, check_cap
+from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, check_cap, check_index
 from .spectrum import (crossing_fields, enumerate_levels, finite_size_energy_density, ground_energy, level_runs,
                        log_partition_function, thermo_energy_density)
 from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
@@ -59,14 +59,12 @@ class AxisRange:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise UsageError(f"range ends must be finite, got {self.min}:{self.max}")
+        if not math.isfinite(self.max - self.min):  # so are both ends
+            raise UsageError(f"range ends and span max - min must be finite, got {self.min}:{self.max}")
         if self.steps < 1:
             raise UsageError(f"range needs steps >= 1, got {self.steps}")
         if self.min > self.max:
             raise UsageError(f"range needs min <= max, got {self.min}:{self.max}")
-        if not math.isfinite(self.max - self.min):
-            raise UsageError(f"range span max - min overflows, got {self.min}:{self.max}")
 
 
 @dataclass(frozen=True)
@@ -96,20 +94,6 @@ def _parse_axis_range(text: str) -> AxisRange:
         raise UsageError(f"bad range {text!r}: {exc}") from exc
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
 def _parse_site_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -121,22 +105,22 @@ def _parse_site_list(text: str) -> tuple[int, ...]:
 DENSE_CHECK_CAP = 10
 
 # option group -> its arguments as (flags, add_argument keywords); the dest of
-# each argument is a RunConfig field
+# each argument is a RunConfig field.  The parser only converts types: _config_from_args checks the values.
 _OPTION_GROUPS = {
-    "n": [(("--n",), {"type": _positive_int, "required": True})],
-    "j": [(("--j",), {"type": float, "default": 1.0})],  # ChainParams checks it
+    "n": [(("--n",), {"type": int, "required": True})],
+    "j": [(("--j",), {"type": float, "default": 1.0})],
     "field": [
-        (("--b",), {"type": _finite_float, "help": "single field value"}),
+        (("--b",), {"type": float, "help": "single field value"}),
         (("--b-range",), {"type": _parse_axis_range, "metavar": "MIN:MAX:STEPS",
                           "help": "inclusive linear field grid"}),
     ],
     "temperature": [
-        (("--t",), {"type": _finite_float, "help": "single temperature (k_B = 1; 0 means T -> 0)"}),
+        (("--t",), {"type": float, "help": "single temperature (k_B = 1; 0 means T -> 0)"}),
         (("--t-range",), {"type": _parse_axis_range, "metavar": "MIN:MAX:STEPS",
                           "help": "inclusive linear temperature grid"}),
     ],
     "k": [(("--k",), {"type": int, "required": True, "help": "sector (flipped spins), 0..n"})],
-    "sizes": [(("--sizes",), {"type": _positive_int, "nargs": "+", "default": [50]})],
+    "sizes": [(("--sizes",), {"type": int, "nargs": "+", "default": [50]})],
     "split-a": [(("--split-a",), {"type": _parse_site_list, "default": None, "metavar": "SITES",
                                   "help": "comma-separated sites of side A (default: first half)"})],
     "dense-cap": [(("--dense-cap",), {"type": int, "choices": range(MATRIX_CAP + 1), "metavar": "N",
@@ -150,23 +134,24 @@ _OPTION_GROUPS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run's configuration, each argument checked once, by the library's rule for its kind."""
     options = _SUBCOMMANDS[args.subcommand].options
-    if "temperature" in options:
-        coldest = args.t if args.t is not None else args.t_range.min
-        if coldest < 0:
-            raise UsageError(f"temperatures must be >= 0, got {coldest}")
-    if "k" in options and not 0 <= args.k <= args.n:
-        raise UsageError(f"--k must be in 0..{args.n}, got {args.k}")
     values = vars(args)
     if "sizes" in values:
         values["sizes"] = tuple(values["sizes"])
     config = RunConfig(**values)
-    # the largest size and field bound every level energy, so checking them checks every chain
-    fields = _grid(config.b, config.b_range) if "field" in options else [0.0]
+    widest = max(_grid(config.b, config.b_range), key=abs) if "field" in options else 0.0
     try:
-        ChainParams(n=max(config.sizes or (config.n,)), j=config.j, b=max(fields, key=abs))
+        for n in config.sizes or (config.n,):  # the widest field bounds every level energy of a chain
+            ChainParams(n=n, j=config.j, b=widest)
+        if "k" in options:
+            check_index(config.k, 0, config.n, "sector k")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if "temperature" in options:
+        coldest = config.t if config.t is not None else config.t_range.min  # a range's ends are finite
+        if not (math.isfinite(coldest) and coldest >= 0):
+            raise UsageError(f"temperatures must be finite and >= 0, got {coldest}")
     return config
 
 
@@ -677,7 +662,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SizeLimitError, NumericalError, ValueError, OSError) as exc:
+    except (NumericalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -134,7 +134,7 @@ _OPTION_GROUPS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run's configuration, each argument checked once, by the library's rule for its kind."""
+    """The run's configuration, each argument checked once, by the one rule for its kind."""
     options = _SUBCOMMANDS[args.subcommand].options
     values = vars(args)
     if "sizes" in values:

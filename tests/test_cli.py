@@ -274,7 +274,13 @@ def test_negativity_json_meta_and_entangled_row(tmp_path):
 def test_negativity_custom_split(capsys):
     assert run(["negativity", "--n", "3", "--split-a", "2", "--b", "0", "--t", "1"]) == 0
     assert "2|1,3" in capsys.readouterr().out
-    assert run(["negativity", "--n", "3", "--split-a", "1,2,3", "--b", "0", "--t", "1"]) == 1
+    assert run(["negativity", "--n", "3", "--split-a", "3,1", "--b", "0", "--t", "1"]) == 0
+    assert list(csv.reader(io.StringIO(capsys.readouterr().out)))[1][3] == "1,3|2"
+    # a repeated site, a full side A and a site outside 1..n
+    for sites in ["1,1", "1,2,3", "0", "4"]:
+        code, out, err = run_captured(["negativity", "--n", "3", "--split-a", sites, "--b", "0", "--t", "1"])
+        assert (code, out) == (1, ""), sites
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, sites
 
 
 def test_thermo_limit_rows(capsys):
@@ -402,15 +408,29 @@ def test_validate_caps_the_dimensionless_tolerances(n, j):
     assert [(verdict, name) for verdict, name, _ in checks if verdict == "FAIL"] == [("FAIL", "partition-function")]
 
 
+VALIDATE_COUPLINGS = ["1e-300", "1e-100", "1e-10", "1", "1e4", "1e8", "1e12", "1e16", "1e20", "1e100", "1e200", "1e300"]
+
+
 @pytest.mark.parametrize("n", ["2", "4", "6"])
 def test_validate_fails_at_most_the_partition_function_at_any_coupling(n):
     # from beta*|E| ~ 1e16, log Z keeps no digit of Z, so partition-function alone may fail
-    for j in ["1e-300", "1e-100", "1e-10", "1", "1e4", "1e8", "1e12", "1e16", "1e20", "1e100", "1e200", "1e300"]:
+    for j in VALIDATE_COUPLINGS:
         code, checks = validate_report(n, j)
         failed = [name for verdict, name, _ in checks if verdict == "FAIL"]
         assert (len(checks), code) == (5, 2 if failed else 0), j
         assert failed in ([], ["partition-function"]), j
         assert max(tol for _, name, tol in checks if name in ("purity-identity", "partition-function")) <= 1e-6, j
+
+
+@pytest.mark.parametrize("n", ["3", "5"])
+def test_validate_at_odd_n_fails_at_most_purity_identity_and_partition_function(n):
+    # odd n has a mode 2b - 2J cos(pi/2) of size O(b), which the dense Gibbs state takes as the difference of two
+    # O(nJ) level energies: from J ~ 1e11 its error passes purity-identity's 1e-6, and never without Z's
+    for j in VALIDATE_COUPLINGS:
+        code, checks = validate_report(n, j)
+        failed = [name for verdict, name, _ in checks if verdict == "FAIL"]
+        assert (len(checks), code) == (5, 2 if failed else 0), j
+        assert failed in ([], ["partition-function"], ["purity-identity", "partition-function"]), j
 
 
 @pytest.mark.parametrize("j", ["1e100", "1e200"])

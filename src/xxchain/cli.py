@@ -224,7 +224,7 @@ def _rows_purity_derivative(config: RunConfig):
 def _rows_negativity(config: RunConfig):
     sites_a = config.split_a if config.split_a is not None else tuple(range(1, config.n // 2 + 1))
     try:
-        split = BipartiteSplit.of(config.n, sites_a)
+        split = BipartiteSplit(config.n, sites_a)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     check_cap(config.n, _dense_check_cap(config), "dense thermal state")

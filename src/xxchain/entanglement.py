@@ -19,28 +19,21 @@ _KT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BipartiteSplit:
-    """A disjoint, covering split of the sites {1..n} into two non-empty halves."""
+    """A cut of the sites {1..n}: side A, stored sorted, and side B, the rest; neither side is empty."""
 
+    n: int
     sites_a: tuple[int, ...]
-    sites_b: tuple[int, ...]
 
     def __post_init__(self):
-        sites = sorted(check_index(s, 1, self.n, "site") for s in (*self.sites_a, *self.sites_b))
-        if not self.sites_a or not self.sites_b:
-            raise ValueError("both sides of the split must be non-empty")
-        if sites != list(range(1, self.n + 1)):  # n sites in 1..n cover 1..n unless one repeats
-            raise ValueError(f"split sides must be disjoint and duplicate-free: {self}")
-
-    @classmethod
-    def of(cls, n: int, sites_a) -> "BipartiteSplit":
-        ChainParams(n=n)  # the one rule for n
-        sites_a = tuple(sorted(check_index(s, 1, n, "site") for s in sites_a))
-        sites_b = tuple(s for s in range(1, n + 1) if s not in set(sites_a))
-        return cls(sites_a, sites_b)
+        ChainParams(n=self.n)  # the one rule for n
+        sites_a = tuple(sorted(check_index(s, 1, self.n, "site") for s in self.sites_a))
+        if not 0 < len(set(sites_a)) == len(sites_a) < self.n:
+            raise ValueError(f"split side A must be distinct sites of 1..{self.n}, at least one and not all, got {sites_a}")
+        object.__setattr__(self, "sites_a", sites_a)
 
     @property
-    def n(self) -> int:
-        return len(self.sites_a) + len(self.sites_b)
+    def sites_b(self) -> tuple[int, ...]:
+        return tuple(s for s in range(1, self.n + 1) if s not in self.sites_a)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.sites_a)) + "|" + ",".join(map(str, self.sites_b))

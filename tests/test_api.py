@@ -30,7 +30,7 @@ def _gibbs(n, j, b, beta):
 
 
 def _split(n):
-    return BipartiteSplit.of(n, [1])
+    return BipartiteSplit(n, [1])
 
 
 # each public function, called with (n, j, b, beta, k) drawn below
@@ -166,9 +166,8 @@ INDEX_CALLS = {
     "sector_index_to_label(m)": lambda k: xxchain.sector_index_to_label(1, k, 4),
     "sector_index_to_label(r)": lambda k: xxchain.sector_index_to_label(k, 1, 4),
     "label_to_sector_index": lambda k: xxchain.label_to_sector_index(k, 4),
-    "BipartiteSplit.of": lambda k: BipartiteSplit.of(4, [k]),
-    "BipartiteSplit.of(n)": lambda k: BipartiteSplit.of(k, [1]),
-    "BipartiteSplit": lambda k: BipartiteSplit((1, k), (3, 4)),
+    "BipartiteSplit": lambda k: BipartiteSplit(4, (1, k)),
+    "BipartiteSplit(n)": lambda k: BipartiteSplit(k, [1]),
 }
 
 

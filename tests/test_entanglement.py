@@ -22,7 +22,7 @@ from xxchain import (
 from xxchain.entanglement import PPT_ATOL
 
 KT_C = 1 / math.log(1 + math.sqrt(2))
-SPLIT_11 = BipartiteSplit.of(2, (1,))
+SPLIT_11 = BipartiteSplit(2, (1,))
 
 
 def one_block(matrix):
@@ -52,20 +52,47 @@ def four_population_state(p1, p2, p3, p4):
 
 
 def test_split_construction_and_validation():
-    split = BipartiteSplit.of(4, (2, 4))
+    split = BipartiteSplit(4, (2, 4))
     assert split.sites_b == (1, 3)
     assert str(split) == "2,4|1,3"
     with pytest.raises(ValueError):
-        BipartiteSplit.of(3, ())
+        BipartiteSplit(3, ())
     with pytest.raises(ValueError):
-        BipartiteSplit.of(3, (1, 2, 3))
+        BipartiteSplit(3, (1, 2, 3))
     with pytest.raises(ValueError):
-        BipartiteSplit((1, 2), (2, 3))
+        BipartiteSplit(3, (1, 1))
+
+
+@st.composite
+def split_sides(draw):
+    """n in 2..12 and side A, a non-empty proper subset of 1..n, unsorted, as a list, a tuple or a range."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from([list, tuple, range]))
+    if kind is range:
+        size = draw(st.integers(1, n - 1))
+        start = draw(st.integers(1, n - size + 1))
+        return n, range(start + size - 1, start - 1, -1) if draw(st.booleans()) else range(start, start + size)
+    return n, kind(draw(st.permutations(sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))))))
+
+
+@given(case=split_sides())
+def test_split_is_sorted_side_a_and_the_rest(case):
+    n, given_a = case
+    sites_a = sorted(given_a)
+    sites_b = sorted(set(range(1, n + 1)) - set(sites_a))
+    split = BipartiteSplit(n, given_a)
+    assert (split.n, split.sites_a, split.sites_b) == (n, tuple(sites_a), tuple(sites_b))
+    assert str(split) == ",".join(map(str, sites_a)) + "|" + ",".join(map(str, sites_b))
+    sites = list(given_a)
+    # a repeated site, an empty or full side A, and sites 0, n + 1 and True
+    for bad in ([*sites, sites[-1]], [], [*sites, *sites_b], [*sites, 0], [*sites, n + 1], [*sites, True]):
+        with pytest.raises(ValueError, match="must be"):
+            BipartiteSplit(n, bad)
 
 
 def test_partial_transpose_is_hermitian_and_trace_preserving():
     rho = thermal_density_matrix(ChainParams(n=3, b=0.4), 1.2)
-    pt = partial_transpose(rho, BipartiteSplit.of(3, (1,)))
+    pt = partial_transpose(rho, BipartiteSplit(3, (1,)))
     assert np.max(np.abs(pt - pt.T)) < 1e-14
     assert np.trace(pt) == pytest.approx(1.0, abs=1e-12)
 
@@ -107,7 +134,7 @@ def states_and_splits(draw):
     else:
         matrix = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((1 << n, 1 << n))
         rho = one_block(matrix + matrix.T)
-    return rho, BipartiteSplit.of(n, sites_a)
+    return rho, BipartiteSplit(n, sites_a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,7 +148,7 @@ def test_partial_transpose_matches_tensor_transpose(case):
 def test_partial_transpose_holds_no_second_full_matrix(n, one_block):
     # built from the blocks: neither rho's full matrix nor a dim x dim index array appears
     rho = complete_mixture(n) if one_block else thermal_density_matrix(ChainParams(n=n, b=0.3), 2.0)
-    split = BipartiteSplit.of(n, range(1, n // 2 + 1))
+    split = BipartiteSplit(n, range(1, n // 2 + 1))
     tracemalloc.start()
     try:
         pt = partial_transpose(rho, split)
@@ -151,14 +178,14 @@ def test_thermal_state_separable_above_threshold(b):
 
 def test_negativity_swapping_split_sides():
     rho = thermal_density_matrix(ChainParams(n=3, b=0.2), 2.0)
-    one = negativity(rho, BipartiteSplit((1,), (2, 3)))
-    other = negativity(rho, BipartiteSplit((2, 3), (1,)))
+    one = negativity(rho, BipartiteSplit(3, (1,)))
+    other = negativity(rho, BipartiteSplit(3, (2, 3)))
     assert one == pytest.approx(other, abs=1e-12)
 
 
 def test_negativity_dimension_mismatch():
     with pytest.raises(ValueError):
-        negativity(singlet_density(), BipartiteSplit.of(3, (1,)))
+        negativity(singlet_density(), BipartiteSplit(3, (1,)))
 
 
 def test_two_qubit_separable_examples():

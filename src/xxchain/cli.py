@@ -385,8 +385,6 @@ def _csv_cells(values: list) -> list[str]:
         return list(map("%.9g".__mod__, values))
     if isinstance(first, bool):
         return ["true" if value else "false" for value in values]
-    if isinstance(first, int):
-        return list(map(str, values))
     texts = ["" if value is None else ",".join(map(str, value)) if isinstance(value, list) else str(value)
              for value in values]
     return ['"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text for text in texts]
@@ -460,9 +458,8 @@ def _number_words(x: np.ndarray) -> list:
     python = ~finite | (e < -300) | (np.abs(scaled - digits) + scaled * 2.0**-50 >= 0.5)
     digits = digits.astype(np.int64)
     carry = digits == 10**9
-    if np.count_nonzero(carry):
-        digits[carry] = 10**8
-        e += carry
+    digits[carry] = 10**8
+    e += carry
     sci = (e < -4) | (e >= 9)
     point = np.where(sci, 0, e) if np.count_nonzero(sci) else e
     scale = ipow[8 - point]
@@ -491,7 +488,7 @@ def _csv_chunk(chunk: dict, count: int, columns) -> str:
     for name in columns:
         value = chunk[name]
         if isinstance(value, np.ndarray):
-            words += list(_text_words([text]).T) if text else []
+            words += list(_text_words([text]).T)
             words += (_number_words(value) if value.ndim == 1 and value.dtype.kind in "fiu"
                       else list(_text_words(_csv_cells(value.tolist())).T))
             text = ","
@@ -633,16 +630,10 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     # fold "--b -0.5:..." into "--b=-0.5:...", else argparse reads the value as a flag
     value_flags = {flag for group in _OPTION_GROUPS.values() for flags, keywords in group
                    if "nargs" not in keywords for flag in flags}
-    merged = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token in value_flags and index + 1 < len(argv):
-            merged.append(f"{token}={argv[index + 1]}")
-            index += 2
-        else:
-            merged.append(token)
-            index += 1
+    merged, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in value_flags else None
+        merged.append(token if value is None else f"{token}={value}")
     return merged
 
 

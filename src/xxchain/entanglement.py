@@ -26,6 +26,8 @@ class BipartiteSplit:
 
     def __post_init__(self):
         ChainParams(n=self.n)  # the one rule for n
+        if not hasattr(self.sites_a, "__iter__"):  # an int, a float or None
+            raise ValueError(f"split side A must be a collection of sites of 1..{self.n}, got {self.sites_a!r}")
         sites_a = tuple(sorted(check_index(s, 1, self.n, "site") for s in self.sites_a))
         if not 0 < len(set(sites_a)) == len(sites_a) < self.n:
             raise ValueError(f"split side A must be distinct sites of 1..{self.n}, at least one and not all, got {sites_a}")

@@ -67,6 +67,7 @@ def test_help_shows_the_one_of_flags(monkeypatch, capsys):
 
 def test_bad_ranges_rejected(capsys):
     assert run(["spectrum", "--n", "2", "--b-range", "0:1"]) == 1
+    assert run(["spectrum", "--n", "2", "--b-range"]) == 1  # the flag ends argv, so it has no value
     assert run(["spectrum", "--n", "2", "--b-range", "1:0:5"]) == 1
     assert run(["spectrum", "--n", "2", "--b-range", "0:1:0"]) == 1
     assert run(["purity", "--n", "2", "--b", "0", "--t-range", "-1:2:4"]) == 1
@@ -704,12 +705,16 @@ INT_EDGES = [sign * 10**k + step for k in range(19) for step in (-1, 0, 1) for s
 @given(st.lists(st.one_of(st.floats(), st.sampled_from(FLOAT_EDGES + ULP_BELOW_POWERS), DECIMAL_TIES,
                           DECIMAL_TIES.map(lambda tie: tie * 10**-9)), min_size=1, max_size=30))
 @example(ULP_BELOW_POWERS)
+@example([0.5, 1.25, 3.0])  # no decade fix, carry, exponent or fallback cell
+@example([1e-05, -2.5e20, 3.75e-100])  # every cell in exponent form
+@example([999999999.6, -0.09999999996, 9999999999.7])  # every cell carries to the next decade
 def test_csv_float_cells_match_printf(values):
     assert _csv_column(np.array(values)) == ["%.9g" % value for value in values]
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(INT_EDGES)), min_size=1, max_size=30))
+@example([7, 123456789, 10000])  # non-negative: groups of four digits all NUL, with leading NULs, and in full
 def test_csv_int_cells_match_str(values):
     assert _csv_column(np.array(values, dtype=np.int64)) == list(map(str, values))
     magnitudes = [abs(value) for value in values]
@@ -756,13 +761,6 @@ def _first_difference(text, expected):
     return next(((number, *pair) for number, pair in enumerate(pairs, 1) if pair[0] != pair[1]), None)
 
 
-def _run_to_text(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert run(argv) == 0
-    return out.getvalue()
-
-
 # (lo, hi, steps) of --b-range; -0.0:-0.0:2 is the grid [0.0, -0.0], two chains that compare equal
 FIELD_RANGES = st.one_of(st.sampled_from([(-0.0, -0.0, 1), (-0.0, -0.0, 2)]),
                          st.tuples(st.floats(-2, 0), st.floats(0, 2), st.integers(1, 2)))
@@ -783,8 +781,11 @@ def test_streamed_level_rows_match_whole_array_rendering(subcommand, n, field_ra
     argv = [subcommand, "--n", str(n), "--b-range", f"{lo!r}:{hi!r}:{steps}", "--format", fmt]
     argv += ["--t", repr(t)] if subcommand == "thermal" else []
     with mock.patch("xxchain.cli.CHUNK_ENTRIES", cells):
-        streamed = _run_to_text(argv)
-    assert _first_difference(streamed, _run_to_text(argv)) is None
+        code, streamed, _ = run_captured(argv)
+    assert code == 0
+    code, default_chunks, _ = run_captured(argv)
+    assert code == 0
+    assert _first_difference(streamed, default_chunks) is None
     reference = _reference_document(config, _SUBCOMMANDS[subcommand].columns, _reference_level_rows(config))
     assert _first_difference(streamed, reference) is None
 
@@ -801,7 +802,7 @@ def _traced_peak(argv):
 def test_spectrum_memory_does_not_grow_with_n(tmp_path):
     # one run of 2^14 levels and one text chunk of 2^14 cells at a time; whole 2^n columns took 10.3 MB at n = 18
     target = str(tmp_path / "spectrum.csv")
-    _run_to_text(["spectrum", "--n", "2", "--b", "0"])  # one-time set-up is not part of a run's peak
+    assert run_captured(["spectrum", "--n", "2", "--b", "0"])[0] == 0  # one-time set-up is not part of a run's peak
     small = _traced_peak(["spectrum", "--n", "14", "--b-range", "-1:1:2", "-o", target])
     large = _traced_peak(["spectrum", "--n", "18", "--b-range", "-1:1:2", "-o", target])
     assert large < 2 << 20

@@ -10,7 +10,6 @@ import xxchain.entanglement
 from xxchain import (
     BipartiteSplit,
     ChainParams,
-    DensityMatrix,
     NumericalError,
     boltzmann_weights,
     critical_temperature_two_qubit,
@@ -21,22 +20,14 @@ from xxchain import (
 )
 from xxchain.entanglement import PPT_ATOL
 
+from density_blocks import complete_mixture, one_block
+
 KT_C = 1 / math.log(1 + math.sqrt(2))
 SPLIT_11 = BipartiteSplit(2, (1,))
 
 
-def one_block(matrix):
-    """A DensityMatrix of one block over all spin-basis indices."""
-    matrix = np.array(matrix, dtype=float)
-    return DensityMatrix(len(matrix), ((np.arange(len(matrix)), matrix),))
-
-
 def pure_density(vector):
     return one_block(np.outer(vector, vector))
-
-
-def complete_mixture(n):
-    return one_block(np.eye(1 << n) / (1 << n))
 
 
 def singlet_density():
@@ -61,6 +52,9 @@ def test_split_construction_and_validation():
         BipartiteSplit(3, (1, 2, 3))
     with pytest.raises(ValueError):
         BipartiteSplit(3, (1, 1))
+    for not_a_collection in (1, None, 1.0):
+        with pytest.raises(ValueError, match="must be"):
+            BipartiteSplit(3, not_a_collection)
 
 
 @st.composite

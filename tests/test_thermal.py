@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import xxchain.states
 from xxchain import (
     ChainParams,
-    DensityMatrix,
     SizeLimitError,
     boltzmann_weights,
     build_hamiltonian,
@@ -25,15 +24,11 @@ from xxchain import (
 )
 from xxchain.spectrum import energies_for_occupation_values
 
+from density_blocks import complete_mixture, one_block
+
 
 def crossing_field(n, index):
     return float(crossing_fields(n).fields_b[index])
-
-
-def one_block(matrix):
-    """A DensityMatrix of one block over all spin-basis indices."""
-    matrix = np.array(matrix, dtype=float)
-    return DensityMatrix(len(matrix), ((np.arange(len(matrix)), matrix),))
 
 
 def pure_density(state):
@@ -41,10 +36,6 @@ def pure_density(state):
     vector = np.zeros(1 << state.n)
     vector[xxchain.states.sector_basis_indices(state.n, state.m)] = state.amplitudes
     return one_block(np.outer(vector, vector))
-
-
-def complete_mixture(n):
-    return one_block(np.eye(1 << n) / (1 << n))
 
 
 def scattered_gibbs_state(params, beta):

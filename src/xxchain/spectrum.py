@@ -100,33 +100,21 @@ def thermo_energy_density(b: float) -> float:
     return (2.0 / math.pi) * (b * (math.acos(b) - math.pi / 2) - math.sqrt(1.0 - b * b))
 
 
-def energies_for_occupation_values(params: ChainParams, values: np.ndarray) -> np.ndarray:
-    """Vectorized eigenenergies for occupation bitmasks given as integers.
-
-    The rows go through ``bits @ lam`` in steps of a power of two with at most
-    CHUNK_ENTRIES bits each; such steps give the bits of one whole-array product.
-    """
-    lam = mode_energies(params)
-    out = np.empty(values.size, dtype=float)
-    step = 1 << max(0, (CHUNK_ENTRIES // params.n).bit_length() - 1)
-    for start in range(0, values.size, step):
-        chunk = values[start : start + step]
-        bits = ((chunk[:, None] >> np.arange(params.n)) & 1).astype(float)
-        out[start : start + chunk.size] = bits @ lam
-    out -= params.n * params.b
-    return out
-
-
 def level_runs(params: ChainParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(occupations, energies) of all 2^n levels in bitmask order, CHUNK_ENTRIES at a time; checks the cap now."""
+    """(occupations, energies) of all 2^n levels in bitmask order, run by run; checks the cap now.
+
+    The one level-energy kernel: each run is one ``bits @ lam - n*b`` over 2^floor(log2(CHUNK_ENTRIES/n))
+    bitmasks from a multiple of that power of two, which keeps the bits of one whole-array product.
+    """
     check_cap(params.n, LEVEL_CAP, "level enumeration")
-    size = 1 << params.n  # runs start at multiples of the power of two CHUNK_ENTRIES: whole-array product bits
-    runs = (np.arange(v, min(v + CHUNK_ENTRIES, size), dtype=np.int64) for v in range(0, size, CHUNK_ENTRIES))
-    return ((values, energies_for_occupation_values(params, values)) for values in runs)
+    n, lam = params.n, mode_energies(params)
+    step = 1 << ((CHUNK_ENTRIES // n).bit_length() - 1)
+    runs = (np.arange(v, min(v + step, 1 << n), dtype=np.int64) for v in range(0, 1 << n, step))
+    return ((values, ((values[:, None] >> np.arange(n)) & 1).astype(float) @ lam - n * params.b) for values in runs)
 
 
 def enumerate_levels(params: ChainParams) -> np.ndarray:
-    """All 2^n level energies (read-only), entry v = occupation bitmask v (bit k-1 = mode k), filled run by run."""
+    """All 2^n level energies (read-only), entry v = occupation bitmask v (bit k-1 = mode k), filled from the runs."""
     runs = level_runs(params)  # checks the level cap before the output is allocated
     energies = np.empty(1 << params.n)
     for occupations, run in runs:

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, check_beta, check_cap, check_index
-from .spectrum import energies_for_occupation_values, mode_energies, mode_signs
+from .spectrum import enumerate_levels, mode_energies, mode_signs
 from .states import ground_state, label_occupations, sector_amplitude_matrix, sector_basis_indices, sector_starts
 
 
@@ -65,8 +65,9 @@ class DensityMatrix:
 
 @lru_cache(maxsize=1)
 def label_energies(params: ChainParams) -> np.ndarray:
-    """Eigenenergies of all 2^n states in global label order (read-only; the last chain's are kept)."""
-    energies = energies_for_occupation_values(params, label_occupations(params.n))
+    """All 2^n level energies in label order, the bitmask spectrum gathered (read-only; the last chain's are kept)."""
+    occupations = label_occupations(params.n)  # first, so a too-long chain reports the label order's cap
+    energies = enumerate_levels(params)[occupations]
     energies.setflags(write=False)
     return energies
 

@@ -28,18 +28,7 @@ from xxchain.spectrum import crossing_fields, enumerate_levels
 from xxchain.states import label_occupations
 from xxchain.thermal import boltzmann_weights
 
-CROSSINGS_N4 = (
-    "k,b_k\n"
-    "1,0.809016994\n"
-    "2,0.309016994\n"
-    "3,-0.309016994\n"
-    "4,-0.809016994\n"
-)
-
-
-def test_crossings_golden_output(capsys):
-    assert run(["crossings", "--n", "4"]) == 0
-    assert capsys.readouterr().out == CROSSINGS_N4
+CROSSINGS_N4 = (Path(__file__).parent / "golden" / "crossings_n4.csv").read_text()  # crossings --n 4
 
 
 def test_unknown_flag_is_usage_error(capsys):

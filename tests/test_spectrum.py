@@ -14,14 +14,16 @@ from xxchain import (
     enumerate_levels,
     ground_energy,
     ground_sector,
+    label_energies,
+    label_occupations,
     log_partition_function,
     mode_energies,
 )
-from xxchain.spectrum import energies_for_occupation_values, level_runs
+from xxchain.spectrum import level_runs
 
 
 def eigenenergy(params, value):
-    return float(energies_for_occupation_values(params, np.array([value], dtype=np.int64))[0])
+    return float(enumerate_levels(params)[value])
 
 
 def partition_function(params, beta):
@@ -89,7 +91,7 @@ def test_chain_params_rejects_overflowing_energies(n, big, sign, on_field):
     negative = sum(1 << k for k in range(n) if lam[k] < 0)
     values = np.array([0, negative, (1 << n) - 1 - negative, (1 << n) - 1], dtype=np.int64)
     assert np.all(np.isfinite(lam))
-    assert np.all(np.isfinite(energies_for_occupation_values(params, values)))
+    assert np.all(np.isfinite(enumerate_levels(params)[values]))
     assert math.isfinite(ground_energy(params, 0)) and math.isfinite(ground_energy(params, n))
 
 
@@ -215,15 +217,16 @@ def test_enumerate_levels_count_and_order():
 @given(n=st.integers(1, 16), b=fields, j=couplings)
 @example(n=16, b=0.3, j=1.0)
 @example(n=16, b=-1.7, j=0.37)
+@example(n=11, b=0.0, j=1.0)
 def test_chunked_enumeration_matches_one_whole_array_product(n, b, j):
-    # the row step is a power of two; a 1,638-row step at n = 16 changes bits here.  enumerate_levels
-    # fills its output from level_runs, runs of 2^14 levels: n = 15 and 16 take several
+    # level_runs' run length is a power of two: runs of CHUNK_ENTRIES // n = 1,489 rows change bits at n = 11,
+    # the first n with several runs.  label_energies gathers the same bits, sign bits included
     params = ChainParams(n=n, j=j, b=b)
     values = np.arange(1 << n, dtype=np.int64)
     whole = ((values[:, None] >> np.arange(n)) & 1).astype(float) @ mode_energies(params) - n * b
-    assert np.array_equal(energies_for_occupation_values(params, values), whole)
     assert np.array_equal(enumerate_levels(params), whole)
     assert np.array_equal(np.concatenate([occupations for occupations, _ in level_runs(params)]), values)
+    assert label_energies(params).tobytes() == whole[label_occupations(n)].tobytes()
 
 
 def test_enumerate_levels_memory_is_chunked():

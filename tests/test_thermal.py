@@ -22,7 +22,7 @@ from xxchain import (
     sector_index_to_label,
     thermal_density_matrix,
 )
-from xxchain.spectrum import energies_for_occupation_values
+from xxchain.spectrum import enumerate_levels
 
 from density_blocks import complete_mixture, one_block
 
@@ -149,7 +149,7 @@ def test_cached_label_energies_serve_either_signed_zero_field(n, j):
     cached = label_energies(ChainParams(n=n, j=j, b=0.0))
     assert label_energies(ChainParams(n=n, j=j, b=-0.0)) is cached
     assert not cached.flags.writeable
-    fresh = energies_for_occupation_values(ChainParams(n=n, j=j, b=-0.0), xxchain.states.label_occupations(n))
+    fresh = enumerate_levels(ChainParams(n=n, j=j, b=-0.0))[xxchain.states.label_occupations(n)]
     assert cached.tobytes() == fresh.tobytes()  # sign bits included
 
 

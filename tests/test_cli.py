@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import xxchain.cli
@@ -593,7 +593,10 @@ def unit_free_case(draw):
     j = draw(st.floats(0.25, 4))
     crossing = draw(st.none() | st.integers(0, n - 1))
     b = draw(st.floats(-2, 2)) if crossing is None else float(crossing_fields(n, j).fields_b[crossing])
-    return name, n, j, b, draw(st.floats(0.05, 2)), 2.0 ** draw(st.integers(-60, 60))
+    lam = 2.0 ** draw(st.integers(-60, 60))
+    # a subnormal field, or one that lam scales to a subnormal, rounds in one run and not the other
+    assume(b == 0 or min(abs(b), abs(lam * b)) >= 2.0 ** -1022)
+    return name, n, j, b, draw(st.floats(0.05, 2)), lam
 
 
 def _unit_free_argv(name, n, j, b, t):

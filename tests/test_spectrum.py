@@ -210,7 +210,9 @@ def test_enumerate_levels_count_and_order():
     energies = enumerate_levels(params)
     assert energies.shape == (16,)
     assert not energies.flags.writeable
-    assert energies.tolist() == pytest.approx([eigenenergy(params, value) for value in range(16)], abs=1e-12)
+    lam = mode_energies(params)
+    expected = [sum(lam[k] for k in range(4) if (value >> k) & 1) - 4 * 0.2 for value in range(16)]
+    assert energies.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=30)

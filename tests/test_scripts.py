@@ -2,10 +2,13 @@
 
 Its ``main()`` runs once into a temporary directory; every file its
 docstring lists must exist and start with the CSV header of the subcommand
-that writes it.
+that writes it. ``tests/golden/datasets.json`` pins each file it writes, the
+paper's datasets, by byte count and SHA-256.
 """
 
+import hashlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -16,6 +19,7 @@ from xxchain.cli import _SUBCOMMANDS
 
 SCRIPTS_DIR = Path(__file__).parent.parent / "scripts"
 SCRIPT = "datasets.py"
+PINS = json.loads((Path(__file__).parent / "golden" / "datasets.json").read_text())
 
 # family -> {file pattern in the docstring: subcommand that writes it}. The
 # two families are the level crossings at T = 0 and the thermal surfaces; each
@@ -63,11 +67,13 @@ def test_script_writes_every_listed_file(name, script_run):
     assert sorted(listed) == sorted(pattern for family in CASES.values() for pattern in family)
 
     assert code == 0
+    assert sorted(path.name for path in outdir.iterdir()) == sorted(PINS)
 
     for pattern, subcommand in writers.items():
         paths = sorted(outdir.glob(pattern))
         assert paths, pattern
         header = ",".join(_SUBCOMMANDS[subcommand].columns) + "\n"
         for path in paths:
-            with path.open() as handle:
-                assert handle.readline() == header, path.name
+            data = path.read_bytes()
+            assert data.startswith(header.encode()), path.name
+            assert {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()} == PINS[path.name], path.name

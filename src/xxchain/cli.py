@@ -431,19 +431,15 @@ def _digit_words(mag: np.ndarray) -> list:
 
 
 def _number_words(x: np.ndarray) -> list:
-    """A 1-D int column as str() cells, a float one as '%.9g' cells, in word columns (those all NUL left out).
-
-    A float's nine digits are rint(|x| * 10^(8-e)). The power of ten and the product are each rounded at
-    most once, so the product is within 2^-52 of its size from the exact one, and '%.9g' itself formats a
-    value whose product lies within 2^-50 of its size from a half-integer, and one not finite or below 1e-300.
+    """A 1-D non-negative int column as str() cells, a float one as '%.9g' cells, in word columns (those all NUL
+    left out). An int has no sign cell, as the CLI writes only counts and labels. A float's nine digits are
+    rint(|x| * 10^(8-e)). The power of ten and the product are each rounded at most once, so the product is
+    within 2^-52 of its size from the exact one, and '%.9g' itself formats a value whose product lies within
+    2^-50 of its size from a half-integer, and one not finite or below 1e-300.
     """
     words, minus, dot, e_plus, e_minus, ipow, fpow = _tables()
     if x.dtype.kind in "iu":
-        x = x if x.dtype == np.uint64 else x.astype(np.int64, copy=False)
-        negative = x < 0
-        if not np.count_nonzero(negative):
-            return _digit_words(x)
-        return [negative * minus, *_digit_words(np.where(negative, ~x, x).astype(np.uint64) + negative)]
+        return _digit_words(x)
     x = x.astype(np.float64, copy=False)
     finite = np.isfinite(x)
     a = np.where(finite, np.abs(x), 0.0)

@@ -9,9 +9,10 @@ Writes, under --outdir:
   purity_n2.csv          two-site surface with the dense cross-check column
   purity_deriv_n2.csv    d(purity)/db curves at four temperatures
   purity_n10.csv         ten-site surface, analytic column only (`xxchain purity
-                         --n 10` with the same grids also fills the dense column,
-                         in about 16 times this script's run time: 22.5 s against
-                         1.4 s with one BLAS thread on a shared 2-core Xeon VM)
+                         --n 10` with the same grids also fills the dense column:
+                         22.5 s and 31.2 s in two sessions on a shared 2-core Xeon
+                         VM with one BLAS thread; this script took 1.4 s in the
+                         first)
   negativity_n2.csv      two-site negativity sweep (kT_c goes to stderr)
 """
 

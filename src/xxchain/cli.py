@@ -549,7 +549,7 @@ def _write_file(path: str, text: Iterable[str]) -> None:
 
 
 def emit(blocks: Iterable[dict], columns, config: RunConfig, extra_meta: dict | None = None) -> None:
-    """Stream column blocks as CSV or JSON to stdout, or to --output once complete."""
+    """Stream column blocks as CSV or JSON to stdout, or to --output once complete. CSV ints must be >= 0."""
     if config.format == "json":
         text = _json_text(blocks, columns, {**asdict(config), **(extra_meta or {})})
     else:

@@ -173,8 +173,8 @@ def _points(config: RunConfig):
             yield b, t, math.inf if t == 0 else 1.0 / t, params
 
 
-# --- row builders: each yields column blocks, of at most CHUNK_ENTRIES rows or one per field or point ---
-# A block maps a column to a numpy array (one entry per row) or to one value for every row.
+# --- row builders: each yields column blocks of at most CHUNK_ENTRIES rows, one per point, or one in all ---
+# A block maps a column to a numpy array (one entry per row) or one value for every row, of one kind in every block.
 
 
 def _rows_spectrum(config: RunConfig):
@@ -278,14 +278,11 @@ def _rows_validate(config: RunConfig):
     yield "eigenvalue-multiset", worst, tolerance["eigenvalue-multiset"]
 
     basis = eigenbasis_matrix(n)
-    step = max(1, CHUNK_ENTRIES // len(basis))
     worst = 0.0
     for b in fields:
         params = ChainParams(n=n, j=j, b=b)
         residual = build_hamiltonian(params).entries @ basis
-        energies = label_energies(params)
-        for start in range(0, len(basis), step):  # minus basis * energies, in place a chunk of rows at a time
-            residual[start:start + step] -= basis[start:start + step] * energies
+        residual -= basis * label_energies(params)  # H B and B E stay below the first field's eigh
         worst = max(worst, float(np.max(np.abs(residual, out=residual))))
     yield "eigenvector-residual", worst, tolerance["eigenvector-residual"]
 
@@ -356,24 +353,22 @@ def _joined(run: list[list], sizes: list[int], columns) -> dict:
 
 def _chunks(blocks: Iterable[dict], columns) -> Iterator[tuple[dict, int]]:
     """(chunk, rows) with at most CHUNK_ENTRIES cells, or one row, each, holding the blocks' rows in order: a
-    larger block is cut, and consecutive smaller pieces are joined while each column keeps one kind, that is
-    the same object, arrays of one dtype and trailing shape, or values of one type (then joined into an array)."""
+    larger block is cut, and consecutive smaller pieces are joined. Every builder keeps each column's kind for
+    the whole run (arrays of one dtype and trailing shape, or values of one type), so pieces always join."""
     step = max(1, CHUNK_ENTRIES // len(columns))
-    run, sizes, rows, kinds = [], [], 0, None
+    run, sizes, rows = [], [], 0
     for block in blocks:
         values = [block[name] for name in columns]
         size = max((len(value) for value in values if isinstance(value, np.ndarray)), default=1)
         for start in range(0, size, step):
             piece = [value[start : start + step] if isinstance(value, np.ndarray) else value for value in values]
             count = min(step, size - start)
-            piece_kinds = [(v.dtype, v.shape[1:]) if isinstance(v, np.ndarray) else type(v) for v in piece]
-            if run and (rows + count > step or piece_kinds != kinds):
+            if run and rows + count > step:
                 yield _joined(run, sizes, columns), rows
                 run, sizes, rows = [], [], 0
             run.append(piece)
             sizes.append(count)
             rows += count
-            kinds = piece_kinds
     if run:
         yield _joined(run, sizes, columns), rows
 

@@ -464,28 +464,34 @@ def test_csv_float_formatting_nine_significant_digits(capsys):
     assert capsys.readouterr().out == "x,y\n0.809016994,0.333333333\n"
 
 
-# ints >= 0, as in the CLI's columns: int scalars that differ from block to block are joined into an int column
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(0, 10**6), st.floats(),
-                   st.text(alphabet=',"|x1\n', max_size=4))
+# one strategy per scalar type; ints >= 0, as in the CLI's columns: int scalars that differ from block to block are
+# joined into an int column
+SCALARS = [st.none(), st.booleans(), st.integers(0, 10**6), st.floats(), st.text(alphabet=',"|x1\n', max_size=4)]
 
 
 @st.composite
 def column_blocks(draw):
-    """Blocks over columns a, b, c: each column a scalar, a float or non-negative int array, or a 2-D int array."""
-    size = draw(st.integers(0, 5))
-    block = {}
+    """Up to four blocks over columns a, b, c, each column of one kind in all of them, as in every CLI builder:
+    scalars of one type, float or non-negative int arrays, or 2-D int arrays of one width."""
+    kinds = {}
     for name in "abc":
         kind = draw(st.sampled_from(["scalar", "float", "int", "list"]))
-        if kind == "scalar":
-            block[name] = draw(SCALARS)
-        elif kind == "float":
-            block[name] = np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)), dtype=float)
-        else:
-            width = draw(st.integers(0, 3)) if kind == "list" else 1
-            low = -99 if kind == "list" else 0  # the CLI's 1-D int columns are counts and labels
-            cells = draw(st.lists(st.integers(low, 99), min_size=size * width, max_size=size * width))
-            block[name] = np.array(cells, dtype=np.int64).reshape((size, width) if kind == "list" else (size,))
-    return block
+        kinds[name] = kind, draw(st.sampled_from(SCALARS)) if kind == "scalar" else draw(st.integers(0, 3))
+    blocks = []
+    for size in draw(st.lists(st.integers(0, 5), max_size=4)):
+        block = {}
+        for name, (kind, detail) in kinds.items():
+            if kind == "scalar":
+                block[name] = draw(detail)
+            elif kind == "float":
+                block[name] = np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)), dtype=float)
+            else:
+                width = detail if kind == "list" else 1
+                low = -99 if kind == "list" else 0  # the CLI's 1-D int columns are counts and labels
+                cells = draw(st.lists(st.integers(low, 99), min_size=size * width, max_size=size * width))
+                block[name] = np.array(cells, dtype=np.int64).reshape((size, width) if kind == "list" else (size,))
+        blocks.append(block)
+    return blocks
 
 
 def _rows_of(block):
@@ -508,7 +514,7 @@ def _reference_csv_cell(value):
 
 
 @settings(deadline=None, max_examples=40)
-@given(blocks=st.lists(column_blocks(), max_size=4), cells=st.integers(1, 12))
+@given(blocks=column_blocks(), cells=st.integers(1, 12))
 @example(blocks=[{"a": 7, "b": None, "c": None}, {"a": 123456, "b": None, "c": None}], cells=12)  # one int column
 def test_streamed_output_matches_whole_document_rendering(blocks, cells):
     # a budget of 1-12 cells over three columns breaks chunks every 1-4 rows

@@ -11,7 +11,8 @@ where chunk and block boundaries are crossed, by argv, byte count and SHA-256.
 the same way, at fields away from every crossing.  A coverage test asks for a
 pin of every subcommand in every format, and one at j != 1 where --j is taken.
 ``validate`` runs in a fresh interpreter with one BLAS thread: the last digit
-of its worst values depends on the thread count.
+of its worst values depends on the thread count.  The golden argvs also check
+that each column keeps one kind in every block, which the chunker relies on.
 """
 
 import hashlib
@@ -20,7 +21,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from xxchain.cli import _OPTION_GROUPS, _SUBCOMMANDS, run
@@ -61,6 +64,21 @@ def test_cli_output_matches_golden_file(name, capsys):
     assert run(CASES[name]) == 0
     expected = (GOLDEN_DIR / name).read_text()
     assert capsys.readouterr().out == expected
+
+
+def _kind(value):
+    return (value.dtype, value.shape[1:]) if isinstance(value, np.ndarray) else type(value)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_column_keeps_one_kind_in_every_block(name):
+    """The chunker joins consecutive blocks column by column without looking at kinds, so a column that changes
+    kind (a float column with one None, say) makes the write fail or come out wrong."""
+    blocks = []
+    with mock.patch("xxchain.cli.emit", lambda rows, *_: blocks.extend(rows)):
+        assert run(CASES[name]) == 0
+    kinds = {column: {_kind(block[column]) for block in blocks} for column in blocks[0]}
+    assert {column: found for column, found in kinds.items() if len(found) > 1} == {}
 
 
 def _stdout_in_fresh_process(argv):

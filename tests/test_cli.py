@@ -476,7 +476,8 @@ def column_blocks(draw):
     kinds = {}
     for name in "abc":
         kind = draw(st.sampled_from(["scalar", "float", "int", "list"]))
-        kinds[name] = kind, draw(st.sampled_from(SCALARS)) if kind == "scalar" else draw(st.integers(0, 3))
+        # a scalar column's strategy, or a list column's width
+        kinds[name] = kind, draw(st.sampled_from(SCALARS) if kind == "scalar" else st.integers(0, 3))
     blocks = []
     for size in draw(st.lists(st.integers(0, 5), max_size=4)):
         block = {}

@@ -30,6 +30,7 @@ from .spectrum import (crossing_fields, enumerate_levels, finite_size_energy_den
 from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
 from .thermal import (
     boltzmann_weights,
+    dense_purities,
     label_energies,
     purity_analytic,
     purity_dense,
@@ -206,11 +207,12 @@ def _rows_thermal(config: RunConfig):
 
 
 def _rows_purity(config: RunConfig):
-    dense = config.n <= _dense_check_cap(config)
-    for b, t, beta, params in _points(config):
+    rows, points = itertools.tee(_points(config))
+    dense = (dense_purities((params, beta) for _, _, beta, params in points)
+             if config.n <= _dense_check_cap(config) else itertools.repeat(None))
+    for (b, t, beta, params), purity in zip(rows, dense):
         yield {"n": config.n, "b": b, "t": t, "beta": beta,
-               "purity_analytic": purity_analytic(params, beta),
-               "purity_dense": purity_dense(thermal_density_matrix(params, beta)) if dense else None}
+               "purity_analytic": purity_analytic(params, beta), "purity_dense": purity}
 
 
 def _rows_purity_derivative(config: RunConfig):

@@ -92,6 +92,19 @@ def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     return ThermalEnsemble(probs)
 
 
+def _sector_blocks(n: int, probabilities: np.ndarray, storage: np.ndarray, packed: bool):
+    """Yield (indices, V_m^T diag(p_m) V_m), m = 0..n, in ``storage``: packed one after another, else each at 0."""
+    starts = sector_starts(n)
+    offset = 0
+    for m in range(n + 1):
+        count = starts[m + 1] - starts[m]
+        weights = probabilities[starts[m] : starts[m + 1]]
+        vectors = sector_amplitude_matrix(n, m)
+        block = storage[offset : offset + count * count].reshape(count, count)
+        yield sector_basis_indices(n, m), np.matmul((vectors * weights[:, None]).T, vectors, out=block)
+        offset += count * count if packed else 0
+
+
 def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
     """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n.
 
@@ -100,19 +113,8 @@ def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
     """
     n = params.n
     check_cap(n, MATRIX_CAP, "dense thermal state")
-    ensemble = boltzmann_weights(params, beta)
-    storage = np.empty(math.comb(2 * n, n))
-    blocks = []
-    starts = sector_starts(n)
-    offset = 0
-    for m in range(n + 1):
-        count = starts[m + 1] - starts[m]
-        weights = ensemble.probabilities[starts[m] : starts[m + 1]]
-        vectors = sector_amplitude_matrix(n, m)
-        block = storage[offset : offset + count * count].reshape(count, count)
-        blocks.append((sector_basis_indices(n, m), np.matmul((vectors * weights[:, None]).T, vectors, out=block)))
-        offset += count * count
-    return DensityMatrix(1 << n, tuple(blocks))
+    probabilities = boltzmann_weights(params, beta).probabilities
+    return DensityMatrix(1 << n, tuple(_sector_blocks(n, probabilities, np.empty(math.comb(2 * n, n)), packed=True)))
 
 
 def purity_analytic(params: ChainParams, beta: float) -> float:
@@ -134,7 +136,7 @@ def purity_analytic(params: ChainParams, beta: float) -> float:
 
 
 def purity_dense(rho: DensityMatrix) -> float:
-    """Tr(rho^2) = sum_ij rho_ij rho_ji, contracted block by block.
+    """Tr(rho^2) = sum_ij rho_ij rho_ji, contracted block by block (as :func:`dense_purities` does).
 
     The order is that of a full-matrix contraction, so the value does not
     depend on how the state is blocked: each spin-basis row is summed over
@@ -147,8 +149,23 @@ def purity_dense(rho: DensityMatrix) -> float:
     The product rows come ``CHUNK_ENTRIES`` at a time below a row 0 that carries
     the running sums: the same additions in the same order, in chunk-sized memory.
     """
-    row_sums = np.zeros(rho.dim)
-    for indices, block in rho.blocks:
+    return _contract(rho.dim, rho.blocks)
+
+
+def dense_purities(points):
+    """purity_dense(thermal_density_matrix(params, beta)), bit for bit, at each (params, beta) of ``points``."""
+    buffer = np.empty(0)  # holds each sector block of each point in turn, contracted before the next is written
+    for params, beta in points:
+        n = params.n
+        check_cap(n, MATRIX_CAP, "dense thermal state")
+        if buffer.size < math.comb(n, n // 2) ** 2:
+            buffer = np.empty(math.comb(n, n // 2) ** 2)
+        yield _contract(1 << n, _sector_blocks(n, boltzmann_weights(params, beta).probabilities, buffer, packed=False))
+
+
+def _contract(dim: int, blocks) -> float:
+    row_sums = np.zeros(dim)
+    for indices, block in blocks:
         order = np.argsort(indices)
         step = max(1, CHUNK_ENTRIES // len(order))
         products = np.empty((min(step, len(order)) + 1, len(order)))

@@ -823,6 +823,14 @@ def test_thermal_memory_holds_no_whole_label_column(tmp_path):
     assert peaks[1] - peaks[0] < 3 * (8 << 15)
 
 
+def test_dense_purity_holds_less_than_one_whole_gibbs_state(tmp_path):
+    # one sector block (462 x 462 at n = 11) and its gemm temporary; the whole state is 8 C(22, 11) B = 5.6 MB,
+    # and building it first peaked at that plus a 1.7 MB temporary
+    argv = ["purity", "--n", "11", "--dense-cap", "11", "--b", "0.3", "--t", "0.5", "-o", str(tmp_path / "p.csv")]
+    assert run(argv) == 0  # the sector tables are cached for the process, not per run
+    assert _traced_peak(argv) < 8 * math.comb(22, 11)
+
+
 def test_json_output_memory_is_chunked_by_cells(tmp_path):
     # thermal writes 9 columns; 2^14 whole rows per chunk held about 33 MB of JSON values and text at n = 14
     target = tmp_path / "thermal.json"

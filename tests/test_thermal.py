@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxchain.states
@@ -23,6 +23,7 @@ from xxchain import (
     thermal_density_matrix,
 )
 from xxchain.spectrum import enumerate_levels
+from xxchain.thermal import dense_purities
 
 from density_blocks import complete_mixture, one_block
 
@@ -406,6 +407,32 @@ def test_one_array_gibbs_state_keeps_every_bit(n, fields, betas):
             assert purity_dense(rho) == unchunked_purity(rho)
             again = thermal_density_matrix(params, beta)
             assert not any(np.shares_memory(block, other) for _, block in rho.blocks for _, other in again.blocks)
+
+
+# a field is a signed zero, or (crossing index mod n, ulps off that crossing)
+FIELDS = st.one_of(st.sampled_from((0.0, -0.0)), st.tuples(st.integers(0, 11), st.sampled_from((-1, 0, 1))))
+BETAS = st.sampled_from((0.0, 1e-300, 1.0, 1e3, math.inf))
+
+
+def drawn_field(n, j, field):
+    if isinstance(field, float):
+        return field
+    index, ulps = field
+    b = float(crossing_fields(n, j).fields_b[index % n])
+    return math.nextafter(b, math.copysign(math.inf, ulps)) if ulps else b
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), j=st.sampled_from((0.5, 1.0, 3.0)),
+       points=st.lists(st.tuples(FIELDS, BETAS), min_size=1, max_size=4))
+@example(n=11, j=1.0, points=[((5, 0), math.inf), ((4, 1), 1e3), (-0.0, 1.0)])
+@example(n=12, j=3.0, points=[((6, -1), 1.0), ((5, 0), 1e-300)])
+def test_streamed_purity_keeps_the_bits_of_the_whole_state(n, j, points):
+    # one generator, so one buffer, serves every point, as it does a CLI run
+    params = [(ChainParams(n=n, j=j, b=drawn_field(n, j, field)), beta) for field, beta in points]
+    streamed = list(dense_purities(iter(params)))
+    assert [value.hex() for value in streamed] == [
+        purity_dense(thermal_density_matrix(chain, beta)).hex() for chain, beta in params]
 
 
 def test_purity_adds_within_a_row_one_product_at_a_time():

@@ -28,14 +28,7 @@ from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, chec
 from .spectrum import (crossing_fields, enumerate_levels, finite_size_energy_density, ground_energy, level_runs,
                        log_partition_function, thermo_energy_density)
 from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
-from .thermal import (
-    boltzmann_weights,
-    dense_purities,
-    label_energies,
-    purity_analytic,
-    purity_dense,
-    thermal_density_matrix,
-)
+from .thermal import boltzmann_weights, dense_purities, label_energies, purity_analytic, thermal_density_matrix
 
 _DERIVATIVE_STEP = 1e-5
 # validate's tolerance per check at j <= 1, multiplied by max(1, j): energies and their rounding errors scale with j.
@@ -165,16 +158,16 @@ def _dense_check_cap(config: RunConfig) -> int:
     return DENSE_CHECK_CAP if config.dense_cap is None else config.dense_cap
 
 
-def _points(config: RunConfig):
-    """(b, t, beta, params) over the field grid, temperatures varying fastest; t = 0 is beta = inf."""
+def _fields(config: RunConfig):
+    """(b, params, t, beta) over the field grid, t and beta arrays over the temperatures; t = 0 or -0 is beta = inf."""
     temperatures = _grid(config.t, config.t_range)
+    t = np.array(temperatures)
+    beta = np.array([math.inf if value == 0 else 1.0 / value for value in temperatures])
     for b in _grid(config.b, config.b_range):
-        params = ChainParams(n=config.n, j=config.j, b=b)
-        for t in temperatures:
-            yield b, t, math.inf if t == 0 else 1.0 / t, params
+        yield b, ChainParams(n=config.n, j=config.j, b=b), t, beta
 
 
-# --- row builders: each yields column blocks of at most CHUNK_ENTRIES rows, one per point, or one in all ---
+# --- row builders: each yields column blocks, one per field (a Gibbs grid), per size, per run of levels, or one in all
 # A block maps a column to a numpy array (one entry per row) or one value for every row, of one kind in every block.
 
 
@@ -196,31 +189,33 @@ def _rows_crossings(config: RunConfig):
 
 def _rows_thermal(config: RunConfig):
     before = np.array(sector_starts(config.n))
-    for b, t, beta, params in _points(config):
-        probability = boltzmann_weights(params, beta).probabilities  # checks the level cap first
-        energy = label_energies(params)
-        for start in range(0, energy.size, CHUNK_ENTRIES):
-            m = np.bitwise_count(label_occupations(config.n)[start : start + CHUNK_ENTRIES])
-            l = np.arange(start + 1, start + m.size + 1)
-            yield {"n": config.n, "b": b, "t": t, "beta": beta, "l": l, "r": l - before[m], "m": m,
-                   "energy": energy[start : start + m.size], "probability": probability[start : start + m.size]}
+    for b, params, temperatures, betas in _fields(config):
+        for t, beta in zip(temperatures.tolist(), betas.tolist()):
+            probability = boltzmann_weights(params, beta).probabilities  # checks the level cap first
+            energy = label_energies(params)
+            for start in range(0, energy.size, CHUNK_ENTRIES):
+                m = np.bitwise_count(label_occupations(config.n)[start : start + CHUNK_ENTRIES])
+                l = np.arange(start + 1, start + m.size + 1)
+                yield {"n": config.n, "b": b, "t": t, "beta": beta, "l": l, "r": l - before[m], "m": m,
+                       "energy": energy[start : start + m.size], "probability": probability[start : start + m.size]}
 
 
 def _rows_purity(config: RunConfig):
-    rows, points = itertools.tee(_points(config))
-    dense = (dense_purities((params, beta) for _, _, beta, params in points)
-             if config.n <= _dense_check_cap(config) else itertools.repeat(None))
-    for (b, t, beta, params), purity in zip(rows, dense):
+    dense = (dense_purities((params, x) for _, params, _, beta in _fields(config) for x in beta.tolist())
+             if config.n <= _dense_check_cap(config) else None)
+    for b, params, t, beta in _fields(config):
         yield {"n": config.n, "b": b, "t": t, "beta": beta,
-               "purity_analytic": purity_analytic(params, beta), "purity_dense": purity}
+               "purity_analytic": np.array([purity_analytic(params, x) for x in beta.tolist()]),
+               "purity_dense": None if dense is None else np.fromiter(dense, float, t.size)}
 
 
 def _rows_purity_derivative(config: RunConfig):
     h = _DERIVATIVE_STEP
-    for b, t, beta, _ in _points(config):
-        upper = purity_analytic(ChainParams(n=config.n, j=config.j, b=b + h), beta)
-        lower = purity_analytic(ChainParams(n=config.n, j=config.j, b=b - h), beta)
-        yield {"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": (upper - lower) / (2 * h)}
+    for b, _, t, beta in _fields(config):
+        upper = ChainParams(n=config.n, j=config.j, b=b + h)
+        lower = ChainParams(n=config.n, j=config.j, b=b - h)
+        slopes = [(purity_analytic(upper, x) - purity_analytic(lower, x)) / (2 * h) for x in beta.tolist()]
+        yield {"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": np.array(slopes)}
 
 
 def _rows_negativity(config: RunConfig):
@@ -230,10 +225,10 @@ def _rows_negativity(config: RunConfig):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     check_cap(config.n, _dense_check_cap(config), "dense thermal state")
-    for b, t, beta, params in _points(config):
-        value = negativity(thermal_density_matrix(params, beta), split)
+    for b, params, t, beta in _fields(config):
+        values = np.array([negativity(thermal_density_matrix(params, x), split) for x in beta.tolist()])
         yield {"n": config.n, "b": b, "t": t, "split": str(split),
-               "negativity": value, "separable": bool(value <= PPT_ATOL)}
+               "negativity": values, "separable": values <= PPT_ATOL}
 
 
 def _meta_negativity(config: RunConfig) -> dict:
@@ -247,17 +242,12 @@ def _meta_negativity(config: RunConfig) -> dict:
 
 def _rows_thermo_limit(config: RunConfig):
     fields = _grid(config.b, config.b_range)
-    limits = [config.j * thermo_energy_density(b / config.j) if math.isfinite(b / config.j) else -abs(b)
-              for b in fields]  # a b/J that overflows means |b| >> J, where the limit is the polarized -|b|
+    limit = np.array([config.j * thermo_energy_density(b / config.j) if math.isfinite(b / config.j) else -abs(b)
+                      for b in fields])  # a b/J that overflows means |b| >> J, where the limit is the polarized -|b|
     for n in config.sizes:
-        for b, limit_value in zip(fields, limits):
-            density = finite_size_energy_density(n, b, config.j)
-            yield {
-                "n": n, "b": b,
-                "energy_density": density,
-                "limit": limit_value,
-                "deviation": abs(density - limit_value),
-            }
+        density = np.array([finite_size_energy_density(n, b, config.j) for b in fields])
+        yield {"n": n, "b": np.array(fields), "energy_density": density, "limit": limit,
+               "deviation": np.abs(density - limit)}
 
 
 def _rows_validate(config: RunConfig):
@@ -289,12 +279,9 @@ def _rows_validate(config: RunConfig):
     yield "eigenvector-residual", worst, tolerance["eigenvector-residual"]
 
     worst = 0.0
-    for b in (-0.9, 0.31, 0.75):
-        params = ChainParams(n=n, j=j, b=b)
-        for t in (0.2, 0.9, 2.0):
-            beta = 1.0 / t
-            gap = purity_analytic(params, beta) - purity_dense(thermal_density_matrix(params, beta))
-            worst = max(worst, abs(gap))
+    points = [(ChainParams(n=n, j=j, b=b), 1.0 / t) for b in (-0.9, 0.31, 0.75) for t in (0.2, 0.9, 2.0)]
+    for (params, beta), dense in zip(points, dense_purities(points)):
+        worst = max(worst, abs(purity_analytic(params, beta) - dense))
     yield "purity-identity", worst, tolerance["purity-identity"]
 
     worst = 0.0

@@ -230,6 +230,25 @@ def test_zero_temperature_maps_to_limit(capsys):
     assert float(cells[4]) == 1.0
 
 
+@pytest.mark.parametrize("subcommand", ["thermal", "purity", "purity-derivative", "negativity"])
+def test_negative_zero_temperature_is_the_zero_temperature_limit(subcommand, capsys):
+    # -0.0 == 0, so beta is inf; a beta taken as 1.0 / t would be -inf.  b = 0 is a crossing of the n = 3 chain.
+    argv = [subcommand, "--n", "3", "--b-range", "-0.5:0.5:3"]
+    tables = []
+    for t in ("0", "-0"):
+        assert run([*argv, "--t", t]) == 0
+        tables.append(list(csv.reader(io.StringIO(capsys.readouterr().out))))
+    (header, *cold), (_, *signed) = tables
+    column = dict(zip(header, itertools.count()))
+    assert len(signed) == len(cold) > 0
+    assert {row[column["t"]] for row in signed} == {"-0"}
+    if "beta" in column:
+        assert {row[column["beta"]] for row in signed} == {"inf"}
+    for row in signed:
+        row[column["t"]] = "0"
+    assert signed == cold
+
+
 def test_purity_derivative_odd_in_field(capsys):
     assert run(["purity-derivative", "--n", "2", "--b-range", "-0.5:0.5:3", "--t", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

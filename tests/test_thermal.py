@@ -435,6 +435,16 @@ def test_streamed_purity_keeps_the_bits_of_the_whole_state(n, j, points):
         purity_dense(thermal_density_matrix(chain, beta)).hex() for chain, beta in params]
 
 
+def test_one_stream_serves_chains_that_grow_and_shrink():
+    # the run's buffer grows for n = 4 and n = 10, and every chain after that reuses it
+    chains = [(4, 1.0, 0.3, 1.0), (10, 0.5, -0.2, 0.0), (2, 3.0, 1.1, math.inf),
+              (7, 1.0, crossing_field(7, 2), math.inf), (10, 1.0, 0.1, 2.5), (1, 1.0, -0.0, 0.0)]
+    points = [(ChainParams(n=n, j=j, b=b), beta) for n, j, b, beta in chains]
+    streamed = list(dense_purities(iter(points)))
+    assert [value.hex() for value in streamed] == [
+        purity_dense(thermal_density_matrix(chain, beta)).hex() for chain, beta in points]
+
+
 def test_purity_adds_within_a_row_one_product_at_a_time():
     # row 0's products are 1 and then sixteen 2^-54: added one at a time, each rounds back to 1.0,
     # while a pairwise sum first adds them to each other and keeps part of them

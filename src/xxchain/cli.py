@@ -167,7 +167,7 @@ def _fields(config: RunConfig):
         yield b, ChainParams(n=config.n, j=config.j, b=b), t, beta
 
 
-# --- row builders: each yields column blocks, one per field (a Gibbs grid), per size, per run of levels, or one in all
+# --- row builders: each yields column blocks, one per field, per size, per run of levels, or one in all ---
 # A block maps a column to a numpy array (one entry per row) or one value for every row, of one kind in every block.
 
 
@@ -201,6 +201,7 @@ def _rows_thermal(config: RunConfig):
 
 
 def _rows_purity(config: RunConfig):
+    # a second walk of the fields feeds one dense stream, so its one buffer serves the whole run
     dense = (dense_purities((params, x) for _, params, _, beta in _fields(config) for x in beta.tolist())
              if config.n <= _dense_check_cap(config) else None)
     for b, params, t, beta in _fields(config):

@@ -22,13 +22,13 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativity
+from .entanglement import PPT_ATOL, BipartiteSplit, critical_temperature_two_qubit, negativities
 from .oracle import build_hamiltonian, diagonalize
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, check_cap, check_index
 from .spectrum import (crossing_fields, enumerate_levels, finite_size_energy_density, ground_energy, level_runs,
                        log_partition_function, thermo_energy_density)
 from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
-from .thermal import boltzmann_weights, dense_purities, label_energies, purity_analytic, thermal_density_matrix
+from .thermal import boltzmann_weights, dense_purities, label_energies, purity_analytic
 
 _DERIVATIVE_STEP = 1e-5
 # validate's tolerance per check at j <= 1, multiplied by max(1, j): energies and their rounding errors scale with j.
@@ -95,7 +95,7 @@ def _parse_site_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad site list {text!r}: {exc}") from exc
 
 
-# largest n at which purity and negativity build the dense Gibbs state; --dense-cap overrides it
+# largest n at which purity and negativity stream the dense Gibbs state; --dense-cap overrides it
 DENSE_CHECK_CAP = 10
 
 # option group -> its arguments as (flags, add_argument keywords); the dest of
@@ -226,8 +226,9 @@ def _rows_negativity(config: RunConfig):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     check_cap(config.n, _dense_check_cap(config), "dense thermal state")
+    stream = negativities(((params, x) for _, params, _, beta in _fields(config) for x in beta.tolist()), split)
     for b, params, t, beta in _fields(config):
-        values = np.array([negativity(thermal_density_matrix(params, x), split) for x in beta.tolist()])
+        values = np.fromiter(stream, float, t.size)
         yield {"n": config.n, "b": b, "t": t, "split": str(split),
                "negativity": values, "separable": values <= PPT_ATOL}
 

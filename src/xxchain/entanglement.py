@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, ChainParams, NumericalError, check_index
-from .thermal import DensityMatrix, label_energies
+from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, check_cap, check_index
+from .thermal import DensityMatrix, _sector_blocks, boltzmann_weights, label_energies
 
 PPT_ATOL = 1e-12
 
@@ -44,31 +44,50 @@ class BipartiteSplit:
 def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
     """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving.
 
-    Scattered from ``rho.blocks``, so the full matrix of ``rho`` is never
-    built: the entry at spin-basis row r, column c moves to row
-    (r & ~mask) | (c & mask), column (c & ~mask) | (r & mask), where mask has
-    the bits of the sites in B.  Each entry is copied once, unchanged.
+    Scattered from ``rho.blocks`` by the loop :func:`negativities` runs too, so
+    the full matrix of ``rho`` is never built: the entry at spin-basis row r,
+    column c moves to row (r & ~mask) | (c & mask), column (c & ~mask) | (r & mask),
+    where mask has the bits of the sites in B.  Each entry is copied once, unchanged.
     """
-    n = split.n
-    if rho.dim != 1 << n:
-        raise ValueError(f"matrix dimension {rho.dim} does not match a {n}-site split")
-    mask = sum(1 << (site - 1) for site in split.sites_b)
+    if rho.dim != 1 << split.n:
+        raise ValueError(f"matrix dimension {rho.dim} does not match a {split.n}-site split")
     result = np.zeros((rho.dim, rho.dim))
-    flat = result.reshape(-1)
     for indices, block in rho.blocks:
-        kept, swapped = indices & ~mask, indices & mask
-        # kept and swapped bits are disjoint, so the flat target index is a sum of a row and a column term
-        row_term, column_term = kept * rho.dim + swapped, swapped * rho.dim + kept
-        step = max(1, CHUNK_ENTRIES // len(indices))
-        for start in range(0, len(indices), step):
-            rows = slice(start, start + step)
-            flat[row_term[rows, None] + column_term] = block[rows]
+        _scatter(result, split, indices, block)
     return result
 
 
 def negativity(rho: DensityMatrix, split: BipartiteSplit) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT."""
-    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho, split))
+    """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT; :func:`negativities` streams Gibbs states."""
+    return _negative_sum(partial_transpose(rho, split))
+
+
+def negativities(points, split: BipartiteSplit):
+    """negativity(thermal_density_matrix(params, beta), split), bit for bit, at each (params, beta) of ``points``."""
+    n = split.n
+    check_cap(n, MATRIX_CAP, "dense thermal state")
+    # one partial transpose and one sector block per run; every point writes the same entries, so no re-zeroing
+    result, buffer = np.zeros((1 << n, 1 << n)), np.empty(math.comb(n, n // 2) ** 2)
+    for params, beta in points:
+        if params.n != n:
+            raise ValueError(f"matrix dimension {1 << params.n} does not match a {n}-site split")
+        for indices, block in _sector_blocks(n, boltzmann_weights(params, beta).probabilities, buffer, packed=False):
+            _scatter(result, split, indices, block)  # before the next block is written into the buffer
+        yield _negative_sum(result)
+
+
+def _scatter(result: np.ndarray, split: BipartiteSplit, indices: np.ndarray, block: np.ndarray) -> None:
+    mask = sum(1 << (site - 1) for site in split.sites_b)
+    kept, swapped = indices & ~mask, indices & mask
+    # kept and swapped bits are disjoint, so the flat target index is a sum of a row and a column term
+    row_term, column_term = kept * len(result) + swapped, swapped * len(result) + kept
+    step = max(1, CHUNK_ENTRIES // len(indices))
+    for start in range(0, len(indices), step):
+        result.reshape(-1)[row_term[start : start + step, None] + column_term] = block[start : start + step]
+
+
+def _negative_sum(matrix: np.ndarray) -> float:
+    eigenvalues = np.linalg.eigvalsh(matrix)
     return float(np.abs(eigenvalues[eigenvalues < 0]).sum())
 
 

@@ -53,8 +53,8 @@ class DensityMatrix:
     def entries(self) -> np.ndarray:
         """The full dim x dim matrix (read-only), built from the blocks on first access.
 
-        No function of the package reads it: purity and the partial transpose
-        work from ``blocks``.  It is there for callers that want the dense form.
+        No function of the package reads it: purity, the partial transpose and the
+        streams ``dense_purities`` and ``negativities`` work from sector blocks.  It is for callers.
         """
         full = np.zeros((self.dim, self.dim))
         for indices, block in self.blocks:

@@ -2,12 +2,13 @@
 
 ``bench/tracer.py --mode traced`` wraps the package's public functions and
 derives its computed counts from their arguments: the ``.dim`` of the first
-argument of ``oracle.diagonalize`` and ``entanglement.negativity``, the ``.n``
-of ``thermal.thermal_density_matrix``'s params (the whole Gibbs state, which
-negativity builds and purity streams past), and the cache misses of
+argument of ``oracle.diagonalize``, and the cache misses of
 ``states.sector_amplitude_matrix``.  A change to those values' shape breaks
 the benchmark without failing any other test, so each subcommand the
 benchmark runs is traced here once, in a fresh interpreter, at a small size.
+``purity`` and ``negativity`` stream their Gibbs states' sector blocks
+(``thermal.dense_purities``, ``entanglement.negativities``) and build no
+whole state, so their cases read the streams' call counts.
 """
 
 import json
@@ -23,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # CLI argv -> records "<module>.<function>.<key>" that its traced run must hold, each above 0
 CASES = {
     "validate --n 4": ["oracle.diagonalize.dim", "states.sector_amplitude_matrix.dets"],
-    "negativity --n 4 --b 0.3 --t 0.5": ["entanglement.negativity.dim", "thermal.thermal_density_matrix.bytes"],
+    "negativity --n 4 --b 0.3 --t 0.5": ["entanglement.negativities.calls"],
     "purity --n 4 --b 0.3 --t-range 0:1:3 --format json": ["thermal.dense_purities.calls"],
     "spectrum --n 6 --b 0.2": ["spectrum.level_runs.calls", "spectrum.level_runs.levels"],
 }

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxchain.entanglement
@@ -11,6 +11,7 @@ from xxchain import (
     BipartiteSplit,
     ChainParams,
     NumericalError,
+    SizeLimitError,
     boltzmann_weights,
     critical_temperature_two_qubit,
     crossing_mixture,
@@ -18,9 +19,9 @@ from xxchain import (
     partial_transpose,
     thermal_density_matrix,
 )
-from xxchain.entanglement import PPT_ATOL
+from xxchain.entanglement import PPT_ATOL, negativities
 
-from density_blocks import complete_mixture, one_block
+from density_blocks import FIELDS, complete_mixture, drawn_field, one_block
 
 KT_C = 1 / math.log(1 + math.sqrt(2))
 SPLIT_11 = BipartiteSplit(2, (1,))
@@ -180,6 +181,58 @@ def test_negativity_swapping_split_sides():
 def test_negativity_dimension_mismatch():
     with pytest.raises(ValueError):
         negativity(singlet_density(), BipartiteSplit(3, (1,)))
+
+
+# beta = 1e308 is t = 1e-308
+BETAS = st.sampled_from((0.0, 1e-300, 1.0, 1e3, 1e308, math.inf)) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def streams(draw):
+    """n in 2..8, a coupling, a split with a non-empty side A (contiguous or not), and 2-5 Gibbs points."""
+    n = draw(st.integers(2, 8))
+    j = draw(st.sampled_from((0.5, 1.0, 3.0)))
+    split = BipartiteSplit(n, draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))
+    points = draw(st.lists(st.tuples(FIELDS, BETAS), min_size=2, max_size=5))
+    return split, [(ChainParams(n=n, j=j, b=drawn_field(n, j, field)), beta) for field, beta in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=streams())
+# a finite-beta point, then beta = inf off every crossing: all but one sector block carry zero weights
+@example(case=(BipartiteSplit(8, (2, 3, 7)), [(ChainParams(n=8, b=0.3), 2.0), (ChainParams(n=8, b=0.3), math.inf)]))
+def test_streamed_negativity_keeps_the_bits_of_the_whole_state(case):
+    # one generator, so one partial transpose that still holds the previous point's entries, serves every point
+    split, points = case
+    streamed = list(negativities(iter(points), split))
+    assert [value.hex() for value in streamed] == [
+        negativity(thermal_density_matrix(params, beta), split).hex() for params, beta in points]
+
+
+def test_streamed_negativity_holds_one_partial_transpose_and_one_sector_block():
+    n = 10
+    split = BipartiteSplit(n, range(1, n // 2 + 1))
+    points = [(ChainParams(n=n, b=b), beta) for b, beta in ((0.3, 2.0), (-0.2, 0.5), (0.0, math.inf), (0.45, 10.0))]
+    list(negativities([(ChainParams(n=n, b=0.7), 1.0)], split))  # the sector tables are cached for the process
+    peaks = []
+    for count in (1, 4):
+        tracemalloc.start()
+        try:
+            list(negativities(points[:count], split))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the partial transpose, the sector-block buffer and its gemm temporary, and the scatter's index chunks;
+    # a whole Gibbs state per point (1.5 MB at n = 10) does not fit
+    assert peaks[1] < 8 * 4**n + 2 * 8 * math.comb(n, n // 2) ** 2 + (256 << 10)
+    assert peaks[1] < peaks[0] + (64 << 10)
+
+
+def test_negativity_stream_checks_its_chains():
+    with pytest.raises(SizeLimitError):
+        next(negativities(iter([]), BipartiteSplit(13, (1,))))
+    with pytest.raises(ValueError, match="dimension 8 does not match a 4-site split"):
+        next(negativities(iter([(ChainParams(n=3), 1.0)]), BipartiteSplit(4, (1,))))
 
 
 def test_two_qubit_separable_examples():

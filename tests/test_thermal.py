@@ -25,7 +25,7 @@ from xxchain import (
 from xxchain.spectrum import enumerate_levels
 from xxchain.thermal import dense_purities
 
-from density_blocks import complete_mixture, one_block
+from density_blocks import FIELDS, complete_mixture, drawn_field, one_block
 
 
 def crossing_field(n, index):
@@ -409,17 +409,7 @@ def test_one_array_gibbs_state_keeps_every_bit(n, fields, betas):
             assert not any(np.shares_memory(block, other) for _, block in rho.blocks for _, other in again.blocks)
 
 
-# a field is a signed zero, or (crossing index mod n, ulps off that crossing)
-FIELDS = st.one_of(st.sampled_from((0.0, -0.0)), st.tuples(st.integers(0, 11), st.sampled_from((-1, 0, 1))))
 BETAS = st.sampled_from((0.0, 1e-300, 1.0, 1e3, math.inf))
-
-
-def drawn_field(n, j, field):
-    if isinstance(field, float):
-        return field
-    index, ulps = field
-    b = float(crossing_fields(n, j).fields_b[index % n])
-    return math.nextafter(b, math.copysign(math.inf, ulps)) if ulps else b
 
 
 @settings(max_examples=60, deadline=None)

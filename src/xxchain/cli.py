@@ -238,7 +238,7 @@ def _meta_negativity(config: RunConfig) -> dict:
     if config.n != 2:
         return {}
     kt_c = critical_temperature_two_qubit(ChainParams(n=2, j=config.j))
-    print(f"kT_c = {kt_c:.6f}", file=sys.stderr)
+    print(f"kT_c = {kt_c:.7g}", file=sys.stderr)
     return {"kt_c": kt_c}
 
 

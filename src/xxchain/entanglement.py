@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, check_cap, check_index
-from .thermal import DensityMatrix, _sector_blocks, boltzmann_weights, label_energies
+from .thermal import DensityMatrix, _gibbs_blocks, label_energies
 
 PPT_ATOL = 1e-12
 
@@ -44,16 +44,15 @@ class BipartiteSplit:
 def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
     """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving.
 
-    Scattered from ``rho.blocks`` by the loop :func:`negativities` runs too, so
-    the full matrix of ``rho`` is never built: the entry at spin-basis row r,
+    Scattered from ``rho.blocks`` by the loop :func:`negativities` runs over its
+    stream's blocks, so the full matrix of ``rho`` is never built: the entry at spin-basis row r,
     column c moves to row (r & ~mask) | (c & mask), column (c & ~mask) | (r & mask),
     where mask has the bits of the sites in B.  Each entry is copied once, unchanged.
     """
     if rho.dim != 1 << split.n:
         raise ValueError(f"matrix dimension {rho.dim} does not match a {split.n}-site split")
     result = np.zeros((rho.dim, rho.dim))
-    for indices, block in rho.blocks:
-        _scatter(result, split, indices, block)
+    _scatter(result, split, rho.blocks)
     return result
 
 
@@ -66,24 +65,24 @@ def negativities(points, split: BipartiteSplit):
     """negativity(thermal_density_matrix(params, beta), split), bit for bit, at each (params, beta) of ``points``."""
     n = split.n
     check_cap(n, MATRIX_CAP, "dense thermal state")
-    # one partial transpose and one sector block per run; every point writes the same entries, so no re-zeroing
-    result, buffer = np.zeros((1 << n, 1 << n)), np.empty(math.comb(n, n // 2) ** 2)
-    for params, beta in points:
-        if params.n != n:
-            raise ValueError(f"matrix dimension {1 << params.n} does not match a {n}-site split")
-        for indices, block in _sector_blocks(n, boltzmann_weights(params, beta).probabilities, buffer, packed=False):
-            _scatter(result, split, indices, block)  # before the next block is written into the buffer
+    # one partial transpose per run; every point writes the same entries, so no re-zeroing
+    result = np.zeros((1 << n, 1 << n))
+    for chain_n, blocks in _gibbs_blocks(points):
+        if chain_n != n:
+            raise ValueError(f"matrix dimension {1 << chain_n} does not match a {n}-site split")
+        _scatter(result, split, blocks)
         yield _negative_sum(result)
 
 
-def _scatter(result: np.ndarray, split: BipartiteSplit, indices: np.ndarray, block: np.ndarray) -> None:
+def _scatter(result: np.ndarray, split: BipartiteSplit, blocks) -> None:
     mask = sum(1 << (site - 1) for site in split.sites_b)
-    kept, swapped = indices & ~mask, indices & mask
-    # kept and swapped bits are disjoint, so the flat target index is a sum of a row and a column term
-    row_term, column_term = kept * len(result) + swapped, swapped * len(result) + kept
-    step = max(1, CHUNK_ENTRIES // len(indices))
-    for start in range(0, len(indices), step):
-        result.reshape(-1)[row_term[start : start + step, None] + column_term] = block[start : start + step]
+    for indices, block in blocks:  # each block scattered before the next is drawn
+        kept, swapped = indices & ~mask, indices & mask
+        # kept and swapped bits are disjoint, so the flat target index is a sum of a row and a column term
+        row_term, column_term = kept * len(result) + swapped, swapped * len(result) + kept
+        step = max(1, CHUNK_ENTRIES // len(indices))
+        for start in range(0, len(indices), step):
+            result.reshape(-1)[row_term[start : start + step, None] + column_term] = block[start : start + step]
 
 
 def _negative_sum(matrix: np.ndarray) -> float:

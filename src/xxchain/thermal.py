@@ -53,8 +53,8 @@ class DensityMatrix:
     def entries(self) -> np.ndarray:
         """The full dim x dim matrix (read-only), built from the blocks on first access.
 
-        No function of the package reads it: purity, the partial transpose and the
-        streams ``dense_purities`` and ``negativities`` work from sector blocks.  It is for callers.
+        No function of the package reads it: purity and the partial transpose work from
+        ``blocks``, and ``dense_purities`` and ``negativities`` from one block stream.  It is for callers.
         """
         full = np.zeros((self.dim, self.dim))
         for indices, block in self.blocks:
@@ -92,29 +92,32 @@ def boltzmann_weights(params: ChainParams, beta: float) -> ThermalEnsemble:
     return ThermalEnsemble(probs)
 
 
-def _sector_blocks(n: int, probabilities: np.ndarray, storage: np.ndarray, packed: bool):
-    """Yield (indices, V_m^T diag(p_m) V_m), m = 0..n, in ``storage``: packed one after another, else each at 0."""
+def _sector_blocks(n: int, probabilities: np.ndarray, storage: np.ndarray):
+    """Yield (indices, V_m^T diag(p_m) V_m), m = 0..n, each written at the start of ``storage``."""
     starts = sector_starts(n)
-    offset = 0
     for m in range(n + 1):
         count = starts[m + 1] - starts[m]
         weights = probabilities[starts[m] : starts[m + 1]]
         vectors = sector_amplitude_matrix(n, m)
-        block = storage[offset : offset + count * count].reshape(count, count)
+        block = storage[: count * count].reshape(count, count)
         yield sector_basis_indices(n, m), np.matmul((vectors * weights[:, None]).T, vectors, out=block)
-        offset += count * count if packed else 0
+
+
+def _gibbs_blocks(points):
+    """Yield each (params, beta)'s n and lazy sector blocks, written in one run-long buffer: valid until the next is drawn."""
+    buffer = np.empty(0)
+    for params, beta in points:
+        n = params.n
+        check_cap(n, MATRIX_CAP, "dense thermal state")
+        if buffer.size < math.comb(n, n // 2) ** 2:
+            buffer = np.empty(math.comb(n, n // 2) ** 2)
+        yield n, _sector_blocks(n, boltzmann_weights(params, beta).probabilities, buffer)
 
 
 def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
-    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n.
-
-    The blocks are consecutive views of one array of C(2n, n) = sum_m C(n, m)^2
-    entries, so a state is one allocation.
-    """
-    n = params.n
-    check_cap(n, MATRIX_CAP, "dense thermal state")
-    probabilities = boltzmann_weights(params, beta).probabilities
-    return DensityMatrix(1 << n, tuple(_sector_blocks(n, probabilities, np.empty(math.comb(2 * n, n)), packed=True)))
+    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n: the block stream's batch of one, copied."""
+    n, blocks = next(_gibbs_blocks([(params, beta)]))
+    return DensityMatrix(1 << n, tuple((indices, block.copy()) for indices, block in blocks))
 
 
 def purity_analytic(params: ChainParams, beta: float) -> float:
@@ -154,13 +157,8 @@ def purity_dense(rho: DensityMatrix) -> float:
 
 def dense_purities(points):
     """purity_dense(thermal_density_matrix(params, beta)), bit for bit, at each (params, beta) of ``points``."""
-    buffer = np.empty(0)  # holds each sector block of each point in turn, contracted before the next is written
-    for params, beta in points:
-        n = params.n
-        check_cap(n, MATRIX_CAP, "dense thermal state")
-        if buffer.size < math.comb(n, n // 2) ** 2:
-            buffer = np.empty(math.comb(n, n // 2) ** 2)
-        yield _contract(1 << n, _sector_blocks(n, boltzmann_weights(params, beta).probabilities, buffer, packed=False))
+    for n, blocks in _gibbs_blocks(points):
+        yield _contract(1 << n, blocks)  # each block contracted before the next is written
 
 
 def _contract(dim: int, blocks) -> float:

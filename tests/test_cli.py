@@ -270,6 +270,12 @@ def test_negativity_reports_critical_temperature(capsys):
     assert "kT_c = 1.134593" in captured.err
 
 
+@pytest.mark.parametrize("j, line", [("1e-7", "kT_c = 1.134593e-07"), ("1e300", "kT_c = 1.134593e+300")])
+def test_critical_temperature_line_keeps_its_digits_at_any_coupling(capsys, j, line):
+    assert run(["negativity", "--n", "2", "--j", j, "--b", "0", "--t", "1e-8"]) == 0
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_negativity_json_meta_and_entangled_row(tmp_path):
     target = tmp_path / "neg.json"
     assert run(["negativity", "--n", "2", "--b", "0.3", "--t", "0.5", "--format", "json", "-o", str(target)]) == 0

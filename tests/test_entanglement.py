@@ -233,6 +233,9 @@ def test_negativity_stream_checks_its_chains():
         next(negativities(iter([]), BipartiteSplit(13, (1,))))
     with pytest.raises(ValueError, match="dimension 8 does not match a 4-site split"):
         next(negativities(iter([(ChainParams(n=3), 1.0)]), BipartiteSplit(4, (1,))))
+    # the Gibbs-block stream checks a point's cap before the stream compares its size with the split
+    with pytest.raises(SizeLimitError):
+        next(negativities(iter([(ChainParams(n=13), 1.0)]), BipartiteSplit(4, (1,))))
 
 
 def test_two_qubit_separable_examples():

@@ -396,14 +396,15 @@ def test_one_array_gibbs_state_keeps_every_bit(n, fields, betas):
         for beta in betas:
             probabilities = boltzmann_weights(params, beta).probabilities
             rho = thermal_density_matrix(params, beta)
-            storage = rho.blocks[0][1].base
-            assert storage.size == math.comb(2 * n, n)
             for m, (indices, block) in enumerate(rho.blocks):
                 vectors = xxchain.states.sector_amplitude_matrix(n, m)
                 start = sector_index_to_label(1, m, n) - 1
                 expected = (vectors * probabilities[start : start + len(vectors), None]).T @ vectors
                 assert np.array_equal(block.view(np.int64), expected.view(np.int64))
-                assert block.base is storage and not block.flags.writeable
+                assert not block.flags.writeable
+            # each block is copied out of the stream's one buffer
+            blocks = [block for _, block in rho.blocks]
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :])
             assert purity_dense(rho) == unchunked_purity(rho)
             again = thermal_density_matrix(params, beta)
             assert not any(np.shares_memory(block, other) for _, block in rho.blocks for _, other in again.blocks)
@@ -433,6 +434,15 @@ def test_one_stream_serves_chains_that_grow_and_shrink():
     streamed = list(dense_purities(iter(points)))
     assert [value.hex() for value in streamed] == [
         purity_dense(thermal_density_matrix(chain, beta)).hex() for chain, beta in points]
+
+
+def test_purity_stream_checks_the_cap_at_each_point():
+    # the cap is checked per point, so an oversized chain after a small one fails only when it is reached
+    small = ChainParams(n=4, b=0.3)
+    stream = dense_purities(iter([(small, 1.0), (ChainParams(n=13), 1.0)]))
+    assert next(stream).hex() == purity_dense(thermal_density_matrix(small, 1.0)).hex()
+    with pytest.raises(SizeLimitError):
+        next(stream)
 
 
 def test_purity_adds_within_a_row_one_product_at_a_time():

@@ -104,7 +104,7 @@ def _sector_blocks(n: int, probabilities: np.ndarray, storage: np.ndarray):
 
 
 def _gibbs_blocks(points):
-    """Yield each (params, beta)'s n and lazy sector blocks, written in one run-long buffer: valid until the next is drawn."""
+    """Yield n and the lazy sector blocks of each (params, beta), each held in the run's one buffer until the next."""
     buffer = np.empty(0)
     for params, beta in points:
         n = params.n
@@ -115,7 +115,7 @@ def _gibbs_blocks(points):
 
 
 def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
-    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n: the block stream's batch of one, copied."""
+    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n, copied from a one-point stream."""
     n, blocks = next(_gibbs_blocks([(params, beta)]))
     return DensityMatrix(1 << n, tuple((indices, block.copy()) for indices, block in blocks))
 

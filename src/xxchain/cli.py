@@ -28,7 +28,7 @@ from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, chec
 from .spectrum import (crossing_fields, enumerate_levels, finite_size_energy_density, ground_energy, level_runs,
                        log_partition_function, thermo_energy_density)
 from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
-from .thermal import boltzmann_weights, dense_purities, label_energies, purity_analytic
+from .thermal import boltzmann_weights, dense_purities, label_energies, purity_analytic, purity_analytics
 
 _DERIVATIVE_STEP = 1e-5
 # validate's tolerance per check at j <= 1, multiplied by max(1, j): energies and their rounding errors scale with j.
@@ -146,6 +146,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         coldest = config.t if config.t is not None else config.t_range.min  # a range's ends are finite
         if not (math.isfinite(coldest) and coldest >= 0):
             raise UsageError(f"temperatures must be finite and >= 0, got {coldest}")
+    if config.output == "":
+        raise UsageError("--output needs a path, got ''")
     return config
 
 
@@ -205,18 +207,15 @@ def _rows_purity(config: RunConfig):
     dense = (dense_purities((params, x) for _, params, _, beta in _fields(config) for x in beta.tolist())
              if config.n <= _dense_check_cap(config) else None)
     for b, params, t, beta in _fields(config):
-        yield {"n": config.n, "b": b, "t": t, "beta": beta,
-               "purity_analytic": np.array([purity_analytic(params, x) for x in beta.tolist()]),
+        yield {"n": config.n, "b": b, "t": t, "beta": beta, "purity_analytic": purity_analytics(params, beta),
                "purity_dense": None if dense is None else np.fromiter(dense, float, t.size)}
 
 
 def _rows_purity_derivative(config: RunConfig):
     h = _DERIVATIVE_STEP
     for b, _, t, beta in _fields(config):
-        upper = ChainParams(n=config.n, j=config.j, b=b + h)
-        lower = ChainParams(n=config.n, j=config.j, b=b - h)
-        slopes = [(purity_analytic(upper, x) - purity_analytic(lower, x)) / (2 * h) for x in beta.tolist()]
-        yield {"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": np.array(slopes)}
+        upper, lower = (purity_analytics(ChainParams(n=config.n, j=config.j, b=b + step), beta) for step in (h, -h))
+        yield {"n": config.n, "b": b, "t": t, "beta": beta, "dpurity_db": (upper - lower) / (2 * h)}
 
 
 def _rows_negativity(config: RunConfig):
@@ -524,6 +523,8 @@ def _write_file(path: str, text: Iterable[str]) -> None:
             handle = open(target, "x", newline="")  # exclusive: an existing file of that name is left alone
         except FileExistsError:
             continue
+        except (FileNotFoundError, NotADirectoryError) as exc:  # a missing directory, named as open(path, "w") would
+            raise OSError(exc.errno, exc.strerror, path) from None
         break
     try:
         with handle:

@@ -120,22 +120,24 @@ def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
     return DensityMatrix(1 << n, tuple((indices, block.copy()) for indices, block in blocks))
 
 
-def purity_analytic(params: ChainParams, beta: float) -> float:
-    """Closed-form purity: product over modes of 1 - 1/(1 + cosh(beta*lam_k)).
+def purity_analytics(params: ChainParams, betas: np.ndarray) -> np.ndarray:
+    """Closed-form purity at each beta of a 1-D array (unchecked): product over modes of 1 - 1/(1 + cosh(beta*lam_k)).
 
-    O(n) and overflow-free (the factor is evaluated as 1 - sech^2(x/2)/2 with
-    decaying exponentials only).  beta = math.inf returns the limit: each
-    zero mode (see :func:`mode_signs`) contributes 1/2, every other mode 1.
+    O(n) per beta and overflow-free (the factor is evaluated as 1 - sech^2(x/2)/2, x = |beta*lam_k|, with
+    decaying exponentials only), one row of modes per beta.  beta = math.inf gives the limit:
+    each zero mode (see :func:`mode_signs`) contributes 1/2, every other mode 1.
     """
-    beta = check_beta(beta)
-    if math.isinf(beta):
-        return float(np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0)))
-    lam = mode_energies(params)
-    with np.errstate(over="ignore"):  # an overflowing x is inf, whose factor is the limit 1
-        x = np.abs(beta * lam)
-    decay = np.exp(-x)
+    with np.errstate(over="ignore", invalid="ignore"):  # x = inf has the limit factor 1; inf * 0 is nan in an inf row
+        decay = np.exp(-np.abs(betas[:, None] * mode_energies(params)))
     sech_sq_half = 4.0 * decay / (1.0 + decay) ** 2
-    return float(np.prod(1.0 - 0.5 * sech_sq_half))
+    purities = np.prod(1.0 - 0.5 * sech_sq_half, axis=1)
+    purities[np.isinf(betas)] = np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0))  # the rows of the limit
+    return purities
+
+
+def purity_analytic(params: ChainParams, beta: float) -> float:
+    """:func:`purity_analytics` at one checked beta."""
+    return float(purity_analytics(params, np.array([check_beta(beta)]))[0])
 
 
 def purity_dense(rho: DensityMatrix) -> float:

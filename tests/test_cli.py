@@ -333,6 +333,19 @@ def test_identical_configs_are_byte_identical(tmp_path):
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run(["crossings", "--n", "2", "-o", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{missing}'" in err and ".tmp" not in err  # the name that was given
+
+
+def test_empty_output_path_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
+    # "" resolves to the working directory itself: the temporary file would go beside it, outside it
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr("xxchain.cli.level_runs", lambda params: pytest.fail("the output was computed"))
+    assert run(["spectrum", "--n", "4", "--b", "0.3", "--output", ""]) == 1
+    assert "--output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
 
 
 def test_output_through_symlink_writes_its_target(tmp_path):

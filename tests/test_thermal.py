@@ -22,8 +22,8 @@ from xxchain import (
     sector_index_to_label,
     thermal_density_matrix,
 )
-from xxchain.spectrum import enumerate_levels
-from xxchain.thermal import dense_purities
+from xxchain.spectrum import enumerate_levels, mode_energies, mode_signs
+from xxchain.thermal import dense_purities, purity_analytics
 
 from density_blocks import FIELDS, complete_mixture, drawn_field, one_block
 
@@ -256,6 +256,31 @@ def test_purity_analytic_matches_dense(n, b, beta):
     params = ChainParams(n=n, b=b)
     dense = purity_dense(thermal_density_matrix(params, beta))
     assert abs(purity_analytic(params, beta) - dense) < 1e-10
+
+
+def one_point_purity(params, beta):
+    """The closed form at one beta, as it was written before the temperature axis became one array."""
+    if math.isinf(beta):
+        return float(np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0)))
+    with np.errstate(over="ignore"):
+        x = np.abs(beta * mode_energies(params))
+    decay = np.exp(-x)
+    sech_sq_half = 4.0 * decay / (1.0 + decay) ** 2
+    return float(np.prod(1.0 - 0.5 * sech_sq_half))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20), j=st.floats(1e-300, 1e300), field=FIELDS,
+       betas=st.lists(st.one_of(st.just(math.inf), st.floats(0, 1.7e308)), min_size=1, max_size=12))
+@example(n=3, j=1.0, field=(1, 0), betas=[math.inf, 0.0, 2.0])  # t = 0 on a mode of exactly 0.0: inf * 0.0 is nan
+@example(n=3, j=1.0, field=0.0, betas=[math.inf, 5e-324, 1.7e308])  # a zero mode by the rule only: lam = -1.2e-16
+@example(n=20, j=1e-300, field=(9, 1), betas=[1e300, math.inf, 0.0])
+@example(n=20, j=1e300, field=(10, -1), betas=[1e-300, 1.0, math.inf])
+def test_closed_form_over_the_temperature_axis_keeps_every_bit(n, j, field, betas):
+    params = ChainParams(n=n, j=j, b=drawn_field(n, j, field))
+    expected = [one_point_purity(params, beta).hex() for beta in betas]
+    assert [value.hex() for value in purity_analytics(params, np.array(betas)).tolist()] == expected
+    assert [purity_analytic(params, beta).hex() for beta in betas] == expected
 
 
 def test_purity_pure_projector_and_mixture():

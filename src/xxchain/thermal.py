@@ -129,9 +129,9 @@ def purity_analytics(params: ChainParams, betas: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # x = inf has the limit factor 1; inf * 0 is nan in an inf row
         decay = np.exp(-np.abs(betas[:, None] * mode_energies(params)))
-    sech_sq_half = 4.0 * decay / (1.0 + decay) ** 2
-    purities = np.prod(1.0 - 0.5 * sech_sq_half, axis=1)
-    purities[np.isinf(betas)] = np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0))  # the rows of the limit
+    purities = np.prod(1.0 - 0.5 * (4.0 * decay / (1.0 + decay) ** 2), axis=1)  # 1 - sech^2(x/2)/2 per mode
+    if np.isinf(betas).any():  # the rows of the limit; mode_signs only when a row needs it
+        purities[np.isinf(betas)] = np.prod(np.where(mode_signs(params) == 0, 0.5, 1.0))
     return purities
 
 

@@ -11,7 +11,7 @@ Writes, under --outdir:
   purity_n10.csv         ten-site surface, analytic column only (`xxchain purity
                          --n 10` with the same grids also fills the dense column:
                          22.5 s and 31.2 s in two sessions on a shared 2-core Xeon
-                         VM with one BLAS thread; this script took 0.82 s there
+                         VM with one BLAS thread; this script took 0.59 s there
                          in a later session, fresh process, median of 5)
   negativity_n2.csv      two-site negativity sweep (kT_c goes to stderr)
 """

@@ -28,9 +28,10 @@ from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, chec
 from .spectrum import (crossing_fields, enumerate_levels, finite_size_energy_density, ground_energy, level_runs,
                        log_partition_function, thermo_energy_density)
 from .states import eigenbasis_matrix, ground_state, label_occupations, sector_starts
-from .thermal import boltzmann_weights, dense_purities, label_energies, purity_analytic, purity_analytics
+from .thermal import boltzmann_weights, dense_purities, label_energies, purity_analytics
 
 _DERIVATIVE_STEP = 1e-5
+_NAME_MAX = 255  # bytes in one file name on the common Linux and macOS file systems
 # validate's tolerance per check at j <= 1, multiplied by max(1, j): energies and their rounding errors scale with j.
 _VALIDATE_TOLERANCES = {"eigenvalue-multiset": 1e-10, "eigenvector-residual": 1e-8, "purity-identity": 1e-10,
                         "partition-function": 1e-12, "crossing-degeneracy": 1e-12}
@@ -203,12 +204,10 @@ def _rows_thermal(config: RunConfig):
 
 
 def _rows_purity(config: RunConfig):
-    # a second walk of the fields feeds one dense stream, so its one buffer serves the whole run
-    dense = (dense_purities((params, x) for _, params, _, beta in _fields(config) for x in beta.tolist())
-             if config.n <= _dense_check_cap(config) else None)
+    dense = config.n <= _dense_check_cap(config)
     for b, params, t, beta in _fields(config):
         yield {"n": config.n, "b": b, "t": t, "beta": beta, "purity_analytic": purity_analytics(params, beta),
-               "purity_dense": None if dense is None else np.fromiter(dense, float, t.size)}
+               "purity_dense": dense_purities(params, beta) if dense else None}
 
 
 def _rows_purity_derivative(config: RunConfig):
@@ -225,9 +224,8 @@ def _rows_negativity(config: RunConfig):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     check_cap(config.n, _dense_check_cap(config), "dense thermal state")
-    stream = negativities(((params, x) for _, params, _, beta in _fields(config) for x in beta.tolist()), split)
     for b, params, t, beta in _fields(config):
-        values = np.fromiter(stream, float, t.size)
+        values = negativities(params, beta, split)
         yield {"n": config.n, "b": b, "t": t, "split": str(split),
                "negativity": values, "separable": values <= PPT_ATOL}
 
@@ -280,9 +278,10 @@ def _rows_validate(config: RunConfig):
     yield "eigenvector-residual", worst, tolerance["eigenvector-residual"]
 
     worst = 0.0
-    points = [(ChainParams(n=n, j=j, b=b), 1.0 / t) for b in (-0.9, 0.31, 0.75) for t in (0.2, 0.9, 2.0)]
-    for (params, beta), dense in zip(points, dense_purities(points)):
-        worst = max(worst, abs(purity_analytic(params, beta) - dense))
+    betas = 1.0 / np.array([0.2, 0.9, 2.0])
+    for b in (-0.9, 0.31, 0.75):
+        params = ChainParams(n=n, j=j, b=b)
+        worst = max(worst, float(np.max(np.abs(purity_analytics(params, betas) - dense_purities(params, betas)))))
     yield "purity-identity", worst, tolerance["purity-identity"]
 
     worst = 0.0
@@ -517,8 +516,14 @@ def _write_file(path: str, text: Iterable[str]) -> None:
     path = os.path.realpath(path)  # a symlink keeps pointing at the output
     if os.path.exists(path) and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)  # as open(path, "w") would
+    directory, name = os.path.split(path)
+    if len(os.fsencode(name)) > _NAME_MAX:
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)  # as open(path, "w") would
     for attempt in itertools.count():
-        target = f"{path}.{os.getpid()}.{attempt}.tmp"
+        suffix = f".{os.getpid()}.{attempt}.tmp"
+        while len(os.fsencode(name + suffix)) > _NAME_MAX:  # a long name is cut, by whole characters, to fit
+            name = name[:-1]
+        target = os.path.join(directory, name + suffix)
         try:
             handle = open(target, "x", newline="")  # exclusive: an existing file of that name is left alone
         except FileExistsError:

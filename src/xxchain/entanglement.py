@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, check_cap, check_index
+from .params import CHUNK_ENTRIES, ChainParams, NumericalError, check_index
 from .thermal import DensityMatrix, _gibbs_blocks, label_energies
 
 PPT_ATOL = 1e-12
@@ -44,37 +44,31 @@ class BipartiteSplit:
 def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
     """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving.
 
-    Scattered from ``rho.blocks`` by the loop :func:`negativities` runs over its
-    stream's blocks, so the full matrix of ``rho`` is never built: the entry at spin-basis row r,
+    Scattered from ``rho.blocks`` by the loop :func:`negativities` runs over each
+    Gibbs state's blocks, so the full matrix of ``rho`` is never built: the entry at spin-basis row r,
     column c moves to row (r & ~mask) | (c & mask), column (c & ~mask) | (r & mask),
     where mask has the bits of the sites in B.  Each entry is copied once, unchanged.
     """
     if rho.dim != 1 << split.n:
         raise ValueError(f"matrix dimension {rho.dim} does not match a {split.n}-site split")
-    result = np.zeros((rho.dim, rho.dim))
-    _scatter(result, split, rho.blocks)
-    return result
+    return _scatter(np.zeros((rho.dim, rho.dim)), split, rho.blocks)
 
 
 def negativity(rho: DensityMatrix, split: BipartiteSplit) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT; :func:`negativities` streams Gibbs states."""
+    """Sum of |negative eigenvalues| of the partial transpose; 0 iff PPT; :func:`negativities` for Gibbs states."""
     return _negative_sum(partial_transpose(rho, split))
 
 
-def negativities(points, split: BipartiteSplit):
-    """negativity(thermal_density_matrix(params, beta), split), bit for bit, at each (params, beta) of ``points``."""
-    n = split.n
-    check_cap(n, MATRIX_CAP, "dense thermal state")
-    # one partial transpose per run; every point writes the same entries, so no re-zeroing
-    result = np.zeros((1 << n, 1 << n))
-    for chain_n, blocks in _gibbs_blocks(points):
-        if chain_n != n:
-            raise ValueError(f"matrix dimension {1 << chain_n} does not match a {n}-site split")
-        _scatter(result, split, blocks)
-        yield _negative_sum(result)
+def negativities(params: ChainParams, betas: np.ndarray, split: BipartiteSplit) -> np.ndarray:
+    """negativity(thermal_density_matrix(params, beta), split), bit for bit, at each beta of a 1-D array."""
+    stream = _gibbs_blocks(params, betas)  # checks the cap first
+    if params.n != split.n:
+        raise ValueError(f"matrix dimension {1 << params.n} does not match a {split.n}-site split")
+    result = np.zeros((1 << split.n, 1 << split.n))  # one partial transpose; every beta writes the same entries
+    return np.fromiter((_negative_sum(_scatter(result, split, blocks)) for blocks in stream), float, len(betas))
 
 
-def _scatter(result: np.ndarray, split: BipartiteSplit, blocks) -> None:
+def _scatter(result: np.ndarray, split: BipartiteSplit, blocks) -> np.ndarray:
     mask = sum(1 << (site - 1) for site in split.sites_b)
     for indices, block in blocks:  # each block scattered before the next is drawn
         kept, swapped = indices & ~mask, indices & mask
@@ -83,6 +77,7 @@ def _scatter(result: np.ndarray, split: BipartiteSplit, blocks) -> None:
         step = max(1, CHUNK_ENTRIES // len(indices))
         for start in range(0, len(indices), step):
             result.reshape(-1)[row_term[start : start + step, None] + column_term] = block[start : start + step]
+    return result
 
 
 def _negative_sum(matrix: np.ndarray) -> float:

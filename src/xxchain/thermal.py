@@ -54,7 +54,7 @@ class DensityMatrix:
         """The full dim x dim matrix (read-only), built from the blocks on first access.
 
         No function of the package reads it: purity and the partial transpose work from
-        ``blocks``, and ``dense_purities`` and ``negativities`` from one block stream.  It is for callers.
+        ``blocks``, and ``dense_purities`` and ``negativities`` from one sector block at a time.  It is for callers.
         """
         full = np.zeros((self.dim, self.dim))
         for indices, block in self.blocks:
@@ -103,21 +103,18 @@ def _sector_blocks(n: int, probabilities: np.ndarray, storage: np.ndarray):
         yield sector_basis_indices(n, m), np.matmul((vectors * weights[:, None]).T, vectors, out=block)
 
 
-def _gibbs_blocks(points):
-    """Yield n and the lazy sector blocks of each (params, beta), each held in the run's one buffer until the next."""
-    buffer = np.empty(0)
-    for params, beta in points:
-        n = params.n
-        check_cap(n, MATRIX_CAP, "dense thermal state")
-        if buffer.size < math.comb(n, n // 2) ** 2:
-            buffer = np.empty(math.comb(n, n // 2) ** 2)
-        yield n, _sector_blocks(n, boltzmann_weights(params, beta).probabilities, buffer)
+def _gibbs_blocks(params: ChainParams, betas):
+    """The lazy sector blocks at each beta, each in the call's one buffer until the next; the cap is checked first."""
+    n = params.n
+    check_cap(n, MATRIX_CAP, "dense thermal state")
+    buffer = np.empty(math.comb(n, n // 2) ** 2)
+    return (_sector_blocks(n, boltzmann_weights(params, beta).probabilities, buffer) for beta in betas)
 
 
 def thermal_density_matrix(params: ChainParams, beta: float) -> DensityMatrix:
-    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n, copied from a one-point stream."""
-    n, blocks = next(_gibbs_blocks([(params, beta)]))
-    return DensityMatrix(1 << n, tuple((indices, block.copy()) for indices, block in blocks))
+    """Gibbs state as its magnetization-sector blocks V_m^T diag(p_m) V_m, m = 0..n, copied from a batch of one."""
+    (blocks,) = _gibbs_blocks(params, [beta])
+    return DensityMatrix(1 << params.n, tuple((indices, block.copy()) for indices, block in blocks))
 
 
 def purity_analytics(params: ChainParams, betas: np.ndarray) -> np.ndarray:
@@ -157,10 +154,9 @@ def purity_dense(rho: DensityMatrix) -> float:
     return _contract(rho.dim, rho.blocks)
 
 
-def dense_purities(points):
-    """purity_dense(thermal_density_matrix(params, beta)), bit for bit, at each (params, beta) of ``points``."""
-    for n, blocks in _gibbs_blocks(points):
-        yield _contract(1 << n, blocks)  # each block contracted before the next is written
+def dense_purities(params: ChainParams, betas: np.ndarray) -> np.ndarray:
+    """purity_dense(thermal_density_matrix(params, beta)), bit for bit, at each beta of a 1-D array."""
+    return np.fromiter((_contract(1 << params.n, blocks) for blocks in _gibbs_blocks(params, betas)), float, len(betas))
 
 
 def _contract(dim: int, blocks) -> float:

@@ -6,9 +6,10 @@ argument of ``oracle.diagonalize``, and the cache misses of
 ``states.sector_amplitude_matrix``.  A change to those values' shape breaks
 the benchmark without failing any other test, so each subcommand the
 benchmark runs is traced here once, in a fresh interpreter, at a small size.
-``purity`` and ``negativity`` stream their Gibbs states' sector blocks
-(``thermal.dense_purities``, ``entanglement.negativities``) and build no
-whole state, so their cases read the streams' call counts.
+``purity`` and ``negativity`` build no whole Gibbs state: they make one dense
+call per field (``thermal.dense_purities``, ``entanglement.negativities``),
+each over the field's temperatures, so their cases run three fields and pin
+three calls.
 """
 
 import json
@@ -21,12 +22,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# CLI argv -> records "<module>.<function>.<key>" that its traced run must hold, each above 0
+# CLI argv -> records "<module>.<function>.<key>" that its traced run must hold: the count it must equal, or
+# None for any count above 0
 CASES = {
-    "validate --n 4": ["oracle.diagonalize.dim", "states.sector_amplitude_matrix.dets"],
-    "negativity --n 4 --b 0.3 --t 0.5": ["entanglement.negativities.calls"],
-    "purity --n 4 --b 0.3 --t-range 0:1:3 --format json": ["thermal.dense_purities.calls"],
-    "spectrum --n 6 --b 0.2": ["spectrum.level_runs.calls", "spectrum.level_runs.levels"],
+    "validate --n 4": {"oracle.diagonalize.dim": None, "states.sector_amplitude_matrix.dets": None},
+    "negativity --n 4 --b-range -0.5:0.5:3 --t 0.5": {"entanglement.negativities.calls": 3},
+    "purity --n 4 --b-range -0.5:0.5:3 --t-range 0:1:3 --format json": {"thermal.dense_purities.calls": 3},
+    "spectrum --n 6 --b 0.2": {"spectrum.level_runs.calls": None, "spectrum.level_runs.levels": None},
 }
 
 
@@ -43,6 +45,7 @@ def test_traced_benchmark_run_records_its_counts(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(result.read_text())
     assert record["exit"] == 0
-    for name in CASES[argv]:
+    for name, expected in CASES[argv].items():
         function, key = name.rsplit(".", 1)
-        assert record["functions"][function].get(key, 0) > 0, name
+        count = record["functions"][function].get(key, 0)
+        assert count > 0 if expected is None else count == expected, (name, count)

@@ -367,6 +367,24 @@ def test_output_leaves_an_existing_temporary_name_alone(tmp_path):
     assert sorted(tmp_path.iterdir()) == [target, taken]
 
 
+# 250 ASCII bytes, and 253 bytes of three-byte characters: <name>.<pid>.<attempt>.tmp would pass 255 bytes
+@pytest.mark.parametrize("name", ["a" * 246 + ".csv", "\u20ac" * 83 + ".csv"], ids=["ascii", "three-byte"])
+def test_output_name_near_the_length_limit_is_written(tmp_path, name):
+    target = tmp_path / name
+    assert len(os.fsencode(name)) > 255 - len(f".{os.getpid()}.0.tmp")
+    assert run(["crossings", "--n", "4", "-o", str(target)]) == 0
+    assert target.read_bytes() == CROSSINGS_N4.encode()
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_output_name_over_the_length_limit_is_named_in_the_error(tmp_path, capsys):
+    target = tmp_path / ("a" * 252 + ".csv")
+    assert run(["crossings", "--n", "4", "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"File name too long: '{target}'" in err and ".tmp" not in err  # the name that was given
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_refuses_a_file_it_may_not_write(monkeypatch, tmp_path, capsys):
     target = tmp_path / "out.csv"
     target.write_text("old\n")

@@ -189,53 +189,63 @@ BETAS = st.sampled_from((0.0, 1e-300, 1.0, 1e3, 1e308, math.inf)) | st.floats(1e
 
 @st.composite
 def streams(draw):
-    """n in 2..8, a coupling, a split with a non-empty side A (contiguous or not), and 2-5 Gibbs points."""
+    """n in 2..8, a coupling, a split with a non-empty side A (contiguous or not), and 1-3 fields of 1-4 betas."""
     n = draw(st.integers(2, 8))
     j = draw(st.sampled_from((0.5, 1.0, 3.0)))
     split = BipartiteSplit(n, draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))
-    points = draw(st.lists(st.tuples(FIELDS, BETAS), min_size=2, max_size=5))
-    return split, [(ChainParams(n=n, j=j, b=drawn_field(n, j, field)), beta) for field, beta in points]
+    fields = draw(st.lists(st.tuples(FIELDS, st.lists(BETAS, min_size=1, max_size=4)), min_size=1, max_size=3))
+    return split, [(ChainParams(n=n, j=j, b=drawn_field(n, j, field)), betas) for field, betas in fields]
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=streams())
-# a finite-beta point, then beta = inf off every crossing: all but one sector block carry zero weights
-@example(case=(BipartiteSplit(8, (2, 3, 7)), [(ChainParams(n=8, b=0.3), 2.0), (ChainParams(n=8, b=0.3), math.inf)]))
+# a finite beta, then beta = inf off every crossing: all but one sector block carry zero weights
+@example(case=(BipartiteSplit(8, (2, 3, 7)), [(ChainParams(n=8, b=0.3), [2.0, math.inf])]))
 def test_streamed_negativity_keeps_the_bits_of_the_whole_state(case):
-    # one generator, so one partial transpose that still holds the previous point's entries, serves every point
-    split, points = case
-    streamed = list(negativities(iter(points), split))
-    assert [value.hex() for value in streamed] == [
-        negativity(thermal_density_matrix(params, beta), split).hex() for params, beta in points]
+    # one call per field, so one partial transpose that still holds the previous beta's entries serves every beta
+    split, fields = case
+    for params, betas in fields:
+        streamed = negativities(params, np.array(betas, dtype=float), split)
+        assert streamed.dtype == np.float64 and streamed.shape == (len(betas),)
+        assert [value.hex() for value in streamed.tolist()] == [
+            negativity(thermal_density_matrix(params, beta), split).hex() for beta in betas]
 
 
 def test_streamed_negativity_holds_one_partial_transpose_and_one_sector_block():
     n = 10
     split = BipartiteSplit(n, range(1, n // 2 + 1))
-    points = [(ChainParams(n=n, b=b), beta) for b, beta in ((0.3, 2.0), (-0.2, 0.5), (0.0, math.inf), (0.45, 10.0))]
-    list(negativities([(ChainParams(n=n, b=0.7), 1.0)], split))  # the sector tables are cached for the process
+    params = ChainParams(n=n, b=0.3)
+    betas = np.array([2.0, 0.5, math.inf, 10.0])
+    negativities(ChainParams(n=n, b=0.7), np.array([1.0]), split)  # the sector tables are cached for the process
     peaks = []
     for count in (1, 4):
         tracemalloc.start()
         try:
-            list(negativities(points[:count], split))
+            negativities(params, betas[:count], split)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     # the partial transpose, the sector-block buffer and its gemm temporary, and the scatter's index chunks;
-    # a whole Gibbs state per point (1.5 MB at n = 10) does not fit
+    # a whole Gibbs state per beta (1.5 MB at n = 10) does not fit
     assert peaks[1] < 8 * 4**n + 2 * 8 * math.comb(n, n // 2) ** 2 + (256 << 10)
     assert peaks[1] < peaks[0] + (64 << 10)
 
 
 def test_negativity_stream_checks_its_chains():
-    with pytest.raises(SizeLimitError):
-        next(negativities(iter([]), BipartiteSplit(13, (1,))))
+    # the Gibbs-block stream checks the cap before anything is allocated, also when no beta is asked for
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="dense thermal state needs n <= 12"):
+            negativities(ChainParams(n=13), np.array([]), BipartiteSplit(13, (1,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     with pytest.raises(ValueError, match="dimension 8 does not match a 4-site split"):
-        next(negativities(iter([(ChainParams(n=3), 1.0)]), BipartiteSplit(4, (1,))))
-    # the Gibbs-block stream checks a point's cap before the stream compares its size with the split
+        negativities(ChainParams(n=3), np.array([]), BipartiteSplit(4, (1,)))
+    # the cap is checked before the chain's size is compared with the split
     with pytest.raises(SizeLimitError):
-        next(negativities(iter([(ChainParams(n=13), 1.0)]), BipartiteSplit(4, (1,))))
+        negativities(ChainParams(n=13), np.array([1.0]), BipartiteSplit(4, (1,)))
 
 
 def test_two_qubit_separable_examples():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,7 +428,7 @@ def test_one_array_gibbs_state_keeps_every_bit(n, fields, betas):
                 expected = (vectors * probabilities[start : start + len(vectors), None]).T @ vectors
                 assert np.array_equal(block.view(np.int64), expected.view(np.int64))
                 assert not block.flags.writeable
-            # each block is copied out of the stream's one buffer
+            # each block is copied out of the Gibbs-block buffer
             blocks = [block for _, block in rho.blocks]
             assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :])
             assert purity_dense(rho) == unchunked_purity(rho)
@@ -440,34 +441,30 @@ BETAS = st.sampled_from((0.0, 1e-300, 1.0, 1e3, math.inf))
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 10), j=st.sampled_from((0.5, 1.0, 3.0)),
-       points=st.lists(st.tuples(FIELDS, BETAS), min_size=1, max_size=4))
-@example(n=11, j=1.0, points=[((5, 0), math.inf), ((4, 1), 1e3), (-0.0, 1.0)])
-@example(n=12, j=3.0, points=[((6, -1), 1.0), ((5, 0), 1e-300)])
-def test_streamed_purity_keeps_the_bits_of_the_whole_state(n, j, points):
-    # one generator, so one buffer, serves every point, as it does a CLI run
-    params = [(ChainParams(n=n, j=j, b=drawn_field(n, j, field)), beta) for field, beta in points]
-    streamed = list(dense_purities(iter(params)))
-    assert [value.hex() for value in streamed] == [
-        purity_dense(thermal_density_matrix(chain, beta)).hex() for chain, beta in params]
+       fields=st.lists(st.tuples(FIELDS, st.lists(BETAS, max_size=4)), min_size=1, max_size=3))
+@example(n=11, j=1.0, fields=[((5, 0), [math.inf, 1e3]), ((4, 1), [1e3]), (-0.0, [1.0])])
+@example(n=12, j=3.0, fields=[((6, -1), [1.0]), ((5, 0), [1e-300, 1.0])])
+def test_streamed_purity_keeps_the_bits_of_the_whole_state(n, j, fields):
+    # one call per field, as a CLI run makes: its one buffer serves every beta of the field
+    for field, betas in fields:
+        params = ChainParams(n=n, j=j, b=drawn_field(n, j, field))
+        streamed = dense_purities(params, np.array(betas, dtype=float))
+        assert streamed.dtype == np.float64 and streamed.shape == (len(betas),)
+        assert [value.hex() for value in streamed.tolist()] == [
+            purity_dense(thermal_density_matrix(params, beta)).hex() for beta in betas]
 
 
-def test_one_stream_serves_chains_that_grow_and_shrink():
-    # the run's buffer grows for n = 4 and n = 10, and every chain after that reuses it
-    chains = [(4, 1.0, 0.3, 1.0), (10, 0.5, -0.2, 0.0), (2, 3.0, 1.1, math.inf),
-              (7, 1.0, crossing_field(7, 2), math.inf), (10, 1.0, 0.1, 2.5), (1, 1.0, -0.0, 0.0)]
-    points = [(ChainParams(n=n, j=j, b=b), beta) for n, j, b, beta in chains]
-    streamed = list(dense_purities(iter(points)))
-    assert [value.hex() for value in streamed] == [
-        purity_dense(thermal_density_matrix(chain, beta)).hex() for chain, beta in points]
-
-
-def test_purity_stream_checks_the_cap_at_each_point():
-    # the cap is checked per point, so an oversized chain after a small one fails only when it is reached
-    small = ChainParams(n=4, b=0.3)
-    stream = dense_purities(iter([(small, 1.0), (ChainParams(n=13), 1.0)]))
-    assert next(stream).hex() == purity_dense(thermal_density_matrix(small, 1.0)).hex()
-    with pytest.raises(SizeLimitError):
-        next(stream)
+def test_purity_stream_checks_the_cap_before_allocating():
+    # C(13, 6)^2 entries would be 23.6 MB; the cap fails first, also when no beta is asked for
+    for betas in (np.array([1.0]), np.array([])):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="dense thermal state needs n <= 12"):
+                dense_purities(ChainParams(n=13), betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_purity_adds_within_a_row_one_product_at_a_time():

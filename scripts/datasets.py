@@ -9,10 +9,7 @@ Writes, under --outdir:
   purity_n2.csv          two-site surface with the dense cross-check column
   purity_deriv_n2.csv    d(purity)/db curves at four temperatures
   purity_n10.csv         ten-site surface, analytic column only (`xxchain purity
-                         --n 10` with the same grids also fills the dense column:
-                         22.5 s and 31.2 s in two sessions on a shared 2-core Xeon
-                         VM with one BLAS thread; this script took 0.59 s there
-                         in a later session, fresh process, median of 5)
+                         --n 10` with the same grids also fills the dense column)
   negativity_n2.csv      two-site negativity sweep (kT_c goes to stderr)
 """
 

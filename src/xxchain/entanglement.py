@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CHUNK_ENTRIES, ChainParams, NumericalError, check_index
+from .params import CHUNK_ENTRIES, ChainParams, DomainError, NumericalError, check_index
 from .thermal import DensityMatrix, _gibbs_blocks, label_energies
 
 PPT_ATOL = 1e-12
@@ -27,10 +27,11 @@ class BipartiteSplit:
     def __post_init__(self):
         ChainParams(n=self.n)  # the one rule for n
         if not hasattr(self.sites_a, "__iter__"):  # an int, a float or None
-            raise ValueError(f"split side A must be a collection of sites of 1..{self.n}, got {self.sites_a!r}")
+            raise DomainError(f"split side A must be a collection of sites of 1..{self.n}, got {self.sites_a!r}")
         sites_a = tuple(sorted(check_index(s, 1, self.n, "site") for s in self.sites_a))
         if not 0 < len(set(sites_a)) == len(sites_a) < self.n:
-            raise ValueError(f"split side A must be distinct sites of 1..{self.n}, at least one and not all, got {sites_a}")
+            raise DomainError(f"split side A must be distinct sites of 1..{self.n}, at least one and not all, "
+                              f"got {sites_a}")
         object.__setattr__(self, "sites_a", sites_a)
 
     @property
@@ -50,7 +51,7 @@ def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
     where mask has the bits of the sites in B.  Each entry is copied once, unchanged.
     """
     if rho.dim != 1 << split.n:
-        raise ValueError(f"matrix dimension {rho.dim} does not match a {split.n}-site split")
+        raise DomainError(f"matrix dimension {rho.dim} does not match a {split.n}-site split")
     return _scatter(np.zeros((rho.dim, rho.dim)), split, rho.blocks)
 
 
@@ -63,7 +64,7 @@ def negativities(params: ChainParams, betas: np.ndarray, split: BipartiteSplit) 
     """negativity(thermal_density_matrix(params, beta), split), bit for bit, at each beta of a 1-D array."""
     stream = _gibbs_blocks(params, betas)  # checks the cap first
     if params.n != split.n:
-        raise ValueError(f"matrix dimension {1 << params.n} does not match a {split.n}-site split")
+        raise DomainError(f"matrix dimension {1 << params.n} does not match a {split.n}-site split")
     result = np.zeros((1 << split.n, 1 << split.n))  # one partial transpose; every beta writes the same entries
     return np.fromiter((_negative_sum(_scatter(result, split, blocks)) for blocks in stream), float, len(betas))
 
@@ -100,7 +101,7 @@ def critical_temperature_two_qubit(params: ChainParams) -> float:
     t is kT / J and beta = 1/t cannot overflow however small J is.
     """
     if params.n != 2:
-        raise ValueError(f"defined for chains of two spins, got n = {params.n}")
+        raise DomainError(f"defined for chains of two spins, got n = {params.n}")
     energies = label_energies(ChainParams(n=2))
 
     def margin(t: float) -> float:

@@ -17,6 +17,10 @@ MATRIX_CAP = 12
 CHUNK_ENTRIES = 1 << 14
 
 
+class DomainError(ValueError):
+    """An argument breaks its rule: outside the domain where the closed forms hold."""
+
+
 class SizeLimitError(ValueError):
     """Chain length exceeds the cap for an exponential-cost operation."""
 
@@ -41,28 +45,28 @@ class ChainParams:
         object.__setattr__(self, "b", check_real(self.b, "field"))
         object.__setattr__(self, "j", check_real(self.j, "coupling"))
         if not self.j > 0:
-            raise ValueError(f"coupling must be positive and finite, got {self.j!r}")
+            raise DomainError(f"coupling must be positive and finite, got {self.j!r}")
         # n*(3|b| + 2j) bounds every level energy and every partial sum behind it; Python floats do not warn
         try:
             bound = self.n * (3.0 * abs(self.b) + 2.0 * self.j)
         except OverflowError:  # n is beyond the float range
             bound = math.inf
         if not math.isfinite(bound):
-            raise ValueError(f"level energies overflow: n*(3|b| + 2j) must be finite, got n = {self.n}, "
-                             f"j = {self.j!r}, b = {self.b!r}")
+            raise DomainError(f"level energies overflow: n*(3|b| + 2j) must be finite, got n = {self.n}, "
+                              f"j = {self.j!r}, b = {self.b!r}")
 
 
 def check_index(value, low: int, high: int, what: str) -> int:
     """The one rule for integer arguments: an int (not a bool) in low..high, returned as given."""
     if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
-        raise ValueError(f"{what} must be an integer in {low}..{high}, got {value!r}")
+        raise DomainError(f"{what} must be an integer in {low}..{high}, got {value!r}")
     return value
 
 
 def check_real(value, what: str) -> float:
     """The one rule for real arguments: an int or float (not a bool) in the finite float range, as a float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} must be finite and real (an int or float), got {value!r}")
+        raise DomainError(f"{what} must be finite and real (an int or float), got {value!r}")
     return float(value)
 
 
@@ -72,7 +76,7 @@ def check_beta(value, finite: bool = False) -> float:
     top = sys.float_info.max if finite else math.inf
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not (
             0 <= value <= sys.float_info.max or value == top):
-        raise ValueError(f"inverse temperature must be {'finite and ' if finite else ''}>= 0, got {value!r}")
+        raise DomainError(f"inverse temperature must be {'finite and ' if finite else ''}>= 0, got {value!r}")
     return float(value)
 
 

@@ -1,6 +1,7 @@
-"""The public API: its one export table, and every public function at edge values (a ValueError with a
-message, or finite, valid values)."""
+"""The public API: its one export table, and every public function at edge values (a DomainError or a
+SizeLimitError with a message, or finite, valid values)."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import xxchain
 from xxchain import BipartiteSplit, ChainParams
-from xxchain.params import LEVEL_CAP, MATRIX_CAP
+from xxchain.params import LEVEL_CAP, MATRIX_CAP, DomainError, SizeLimitError
 from xxchain.spectrum import CrossingSet
 from xxchain.thermal import DensityMatrix, ThermalEnsemble
 
@@ -138,8 +139,11 @@ def test_public_functions_reject_or_return_finite_valid_values(name, n, j, b, be
         warnings.simplefilter("error")
         try:
             value = CALLS[name](n, j, b, beta, k)
-        except ValueError as exc:
+        except (DomainError, SizeLimitError) as exc:
             assert str(exc)
+            return
+        except ValueError as exc:  # the one that is no argument's rule: log Z beyond the float range
+            assert name == "log_partition_function" and str(exc).startswith("log Z overflows"), exc
             return
     assert all(np.all(np.isfinite(array)) for array in _arrays(value))
     if name in FLOAT_RESULTS:
@@ -174,7 +178,7 @@ INDEX_CALLS = {
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
 @pytest.mark.parametrize("name", sorted(INDEX_CALLS))
 def test_index_arguments_follow_the_rule_for_n(name, k):
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(DomainError, match="must be an integer"):
         INDEX_CALLS[name](k)
 
 
@@ -189,9 +193,30 @@ REAL_CALLS = {
 @pytest.mark.parametrize("x", [1j, None, "0.3", True, np.float32(3e38), pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("name", sorted(REAL_CALLS))
 def test_real_arguments_follow_one_rule(name, x):
-    """Not an int or float, a bool, or an int beyond the float range: a ValueError with a message, and no warning
+    """Not an int or float, a bool, or an int beyond the float range: a DomainError with a message, and no warning
     on the way (float32 3e38 doubled overflows in float32)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="must be finite and real"):
+        with pytest.raises(DomainError, match="must be finite and real"):
             REAL_CALLS[name](x)
+
+
+def _plain_value_errors(node, function=None):
+    """The innermost function around each ``raise ValueError`` under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(raised, ast.Name) and raised.id == "ValueError":
+            yield function
+    for child in ast.iter_child_nodes(node):
+        yield from _plain_value_errors(child, function)
+
+
+def test_argument_rules_raise_domain_error_and_one_plain_value_error_is_left():
+    """A broken argument rule raises DomainError, which the CLI maps to a usage error; the one plain ValueError
+    is a log Z beyond the float range, which is no rule of the arguments."""
+    source = Path(xxchain.__file__).parent
+    found = [(path.name, function) for path in sorted(source.glob("*.py"))
+             for function in _plain_value_errors(ast.parse(path.read_text()))]
+    assert found == [("spectrum.py", "log_partition_function")]

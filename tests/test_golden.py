@@ -11,8 +11,9 @@ where chunk and block boundaries are crossed, by argv, byte count and SHA-256.
 the same way, at fields away from every crossing.  A coverage test asks for a
 pin of every subcommand in every format, and one at j != 1 where --j is taken.
 ``validate`` runs in a fresh interpreter with one BLAS thread: the last digit
-of its worst values depends on the thread count.  The golden argvs also check
-that each column keeps one kind in every block, which the chunker relies on.
+of its worst values depends on the thread count.  Its digests also hold under
+the compensated float ``sum`` of Python 3.12 and later.  The golden argvs also
+check that each column keeps one kind in every block, which the chunker relies on.
 """
 
 import hashlib
@@ -81,10 +82,10 @@ def test_each_column_keeps_one_kind_in_every_block(name):
     assert {column: found for column, found in kinds.items() if len(found) > 1} == {}
 
 
-def _stdout_in_fresh_process(argv):
+def _stdout_in_fresh_process(argv, command=("-m", "xxchain.cli")):
     env = {**os.environ, **ONE_BLAS_THREAD,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "xxchain.cli", *argv], env=env, capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, *command, *argv], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -97,6 +98,35 @@ def test_cli_output_matches_digest(name, capsysbinary):
     else:
         assert run(entry["argv"]) == 0
         data = capsysbinary.readouterr().out
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"], entry["sha256"])
+
+
+# the CLI with Python 3.12's float sum (Neumaier's compensated summation) as its sum; an int sum stays exact
+COMPENSATED_SUM_CLI = """
+import builtins, math, sys
+import xxchain.cli
+
+def compensated_sum(values, start=0):
+    values = list(values)
+    if not all(isinstance(value, float) for value in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        compensation += (total - step) + value if abs(total) >= abs(value) else (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+xxchain.cli.sum = compensated_sum
+sys.exit(xxchain.cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(name for name, entry in DIGESTS.items() if entry["argv"][0] == "validate"))
+def test_validate_digest_holds_under_a_compensated_sum(name):
+    """validate's sums add left to right, so its report does not depend on the interpreter's sum."""
+    entry = DIGESTS[name]
+    data = _stdout_in_fresh_process(entry["argv"], ("-c", COMPENSATED_SUM_CLI))
     assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"], entry["sha256"])
 
 

@@ -98,9 +98,6 @@ def test_non_finite_input_is_usage_error(flag, value):
     ["thermo-limit", "--sizes", "4", "0", "--b", "0"],
     ["spectrum", "--n", "2", "--b", "1e308"],
     ["ground-state", "--n", "4", "--k", "5"],
-    # a broken rule is a usage error also where the chain is over a size cap: each rule runs before its cap
-    ["ground-state", "--n", "13", "--k", "99"],
-    ["negativity", "--n", "13", "--b", "0", "--t", "1", "--split-a", "99"],
     ["purity", "--n", "3", "--b", "0", "--t", "1", "--dense-cap", "-1"],
     ["purity", "--n", "3", "--b", "0", "--t", "1", "--dense-cap", "13"],
     # finite range ends whose span max - min overflows, which np.linspace would turn into nan fields
@@ -117,6 +114,9 @@ def test_non_finite_input_is_usage_error(flag, value):
     ["purity", "--n", "2", "--b", "0", "--t-range", "0:nan:2"],
     ["negativity", "--n", "2", "--b", "0", "--t", "1", "--split-a", "x"],
     ["spectrum", "--n", "2", "--b-range", "a:b:c"],
+    # a broken rule is a usage error also where the chain is over a size cap: each rule runs before its cap
+    ["ground-state", "--n", "13", "--k", "99"],
+    ["negativity", "--n", "13", "--b", "0", "--t", "1", "--split-a", "99"],
 ])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert run(argv) == 1

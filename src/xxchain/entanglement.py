@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import syevd
 from .params import CHUNK_ENTRIES, ChainParams, DomainError, NumericalError, check_index
 from .thermal import DensityMatrix, _gibbs_blocks, label_energies
 
@@ -43,16 +44,17 @@ class BipartiteSplit:
 
 
 def partial_transpose(rho: DensityMatrix, split: BipartiteSplit) -> np.ndarray:
-    """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving.
+    """Transpose the indices on ``split.sites_b``; Hermitian, trace-preserving; a Fortran-ordered array.
 
     Scattered from ``rho.blocks`` by the loop :func:`negativities` runs over each
     Gibbs state's blocks, so the full matrix of ``rho`` is never built: the entry at spin-basis row r,
     column c moves to row (r & ~mask) | (c & mask), column (c & ~mask) | (r & mask),
     where mask has the bits of the sites in B.  Each entry is copied once, unchanged.
+    Fortran order is the layout the eigensolver overwrites in place.
     """
     if rho.dim != 1 << split.n:
         raise DomainError(f"matrix dimension {rho.dim} does not match a {split.n}-site split")
-    return _scatter(np.zeros((rho.dim, rho.dim)), split, rho.blocks)
+    return _scatter(np.zeros((rho.dim, rho.dim)), split, rho.blocks).T
 
 
 def negativity(rho: DensityMatrix, split: BipartiteSplit) -> float:
@@ -65,16 +67,23 @@ def negativities(params: ChainParams, betas: np.ndarray, split: BipartiteSplit) 
     stream = _gibbs_blocks(params, betas)  # checks the cap first
     if params.n != split.n:
         raise DomainError(f"matrix dimension {1 << params.n} does not match a {split.n}-site split")
-    result = np.zeros((1 << split.n, 1 << split.n))  # one partial transpose; every beta writes the same entries
-    return np.fromiter((_negative_sum(_scatter(result, split, blocks)) for blocks in stream), float, len(betas))
+    result = np.zeros((1 << split.n, 1 << split.n))  # one partial transpose, which each solve overwrites
+
+    def solve(blocks) -> float:
+        result.fill(0.0)
+        return _negative_sum(_scatter(result, split, blocks).T)
+
+    return np.fromiter(map(solve, stream), float, len(betas))
 
 
 def _scatter(result: np.ndarray, split: BipartiteSplit, blocks) -> np.ndarray:
+    """Write the transpose of the partial transpose into the C-ordered ``result``: ``result.T`` is the partial
+    transpose, in Fortran order."""
     mask = sum(1 << (site - 1) for site in split.sites_b)
     for indices, block in blocks:  # each block scattered before the next is drawn
         kept, swapped = indices & ~mask, indices & mask
         # kept and swapped bits are disjoint, so the flat target index is a sum of a row and a column term
-        row_term, column_term = kept * len(result) + swapped, swapped * len(result) + kept
+        row_term, column_term = swapped * len(result) + kept, kept * len(result) + swapped
         step = max(1, CHUNK_ENTRIES // len(indices))
         for start in range(0, len(indices), step):
             result.reshape(-1)[row_term[start : start + step, None] + column_term] = block[start : start + step]
@@ -82,7 +91,8 @@ def _scatter(result: np.ndarray, split: BipartiteSplit, blocks) -> np.ndarray:
 
 
 def _negative_sum(matrix: np.ndarray) -> float:
-    eigenvalues = np.linalg.eigvalsh(matrix)
+    """Sum of |negative eigenvalues| of the symmetric ``matrix``; a Fortran-ordered ``matrix`` is destroyed."""
+    eigenvalues = syevd(matrix, vectors=False)
     return float(np.abs(eigenvalues[eigenvalues < 0]).sum())
 
 

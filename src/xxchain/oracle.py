@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import syevd
 from .params import CHUNK_ENTRIES, MATRIX_CAP, ChainParams, NumericalError, check_cap
 
 # largest accepted eigenpair residual ||H v - e v|| / max(1, max |H_ij|)
@@ -55,10 +56,11 @@ def diagonalize(h: DenseHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     as rounding errors grow with the entries, is checked against
     ``RESIDUAL_TOL`` and a :class:`NumericalError` is raised on failure.
     """
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(h.entries)
+    try:  # solved in place on the one copy of H: the bits of np.linalg.eigh(h.entries)
+        eigenvalues, eigenvectors = syevd(np.array(h.entries, order="F"), vectors=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed to converge: {exc}") from exc
+    eigenvectors = np.ascontiguousarray(eigenvectors)  # C order, as eigh returns: the gate reads rows
     scale = max(1.0, float(h.entries.max()), -float(h.entries.min()))
     worst = float(residual_norms(h, eigenvalues, eigenvectors).max()) / scale
     if worst > RESIDUAL_TOL:

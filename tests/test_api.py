@@ -220,3 +220,13 @@ def test_argument_rules_raise_domain_error_and_one_plain_value_error_is_left():
     found = [(path.name, function) for path in sorted(source.glob("*.py"))
              for function in _plain_value_errors(ast.parse(path.read_text()))]
     assert found == [("spectrum.py", "log_partition_function")]
+
+
+def test_numpys_symmetric_eigensolvers_are_called_from_one_module():
+    """np.linalg.eigh and eigvalsh copy their input; _lapack.syevd makes their LAPACK call in place, with their
+    bits, and is the one caller of them, as its fallback.  A new solve that calls them brings the copy back."""
+    source = Path(xxchain.__file__).parent
+    found = sorted({path.name for path in source.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and node.attr in {"eigh", "eigvalsh"}
+                    or isinstance(node, ast.ImportFrom) and {"eigh", "eigvalsh"} & {a.name for a in node.names}})
+    assert found == ["_lapack.py"]

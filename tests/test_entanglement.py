@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from xxchain.entanglement import PPT_ATOL, negativities
 from density_blocks import FIELDS, complete_mixture, drawn_field, one_block
 
 KT_C = 1 / math.log(1 + math.sqrt(2))
+ROOT = Path(__file__).resolve().parent.parent
 SPLIT_11 = BipartiteSplit(2, (1,))
 
 
@@ -202,7 +208,7 @@ def streams(draw):
 # a finite beta, then beta = inf off every crossing: all but one sector block carry zero weights
 @example(case=(BipartiteSplit(8, (2, 3, 7)), [(ChainParams(n=8, b=0.3), [2.0, math.inf])]))
 def test_streamed_negativity_keeps_the_bits_of_the_whole_state(case):
-    # one call per field, so one partial transpose that still holds the previous beta's entries serves every beta
+    # one call per field, so one partial transpose, zeroed again after each beta's solve, serves every beta
     split, fields = case
     for params, betas in fields:
         streamed = negativities(params, np.array(betas, dtype=float), split)
@@ -229,6 +235,29 @@ def test_streamed_negativity_holds_one_partial_transpose_and_one_sector_block():
     # a whole Gibbs state per beta (1.5 MB at n = 10) does not fit
     assert peaks[1] < 8 * 4**n + 2 * 8 * math.comb(n, n // 2) ** 2 + (256 << 10)
     assert peaks[1] < peaks[0] + (64 << 10)
+
+
+def _peak_rss_bytes(*arguments):
+    """ru_maxrss of a fresh interpreter, spawned through the benchmark's small launcher so that this process's own
+    peak is not carried into the child's across exec."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "launch.py"), "300", os.devnull, sys.executable,
+                           *arguments], env=env, capture_output=True, text=True, timeout=600)
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["returncode"] == 0, proc.stderr
+    return record["peak_rss_mb"] * 2**20
+
+
+def test_negativity_solves_without_a_copy_of_the_partial_transpose():
+    # numpy's eigvalsh copies its input where tracemalloc does not see it, so the process peak is what shows the
+    # copy: at n = 11 the partial transpose is 8 * 4^11 B, and with the copy the run peaks about 2.2 of those above
+    # a bare import, without it about 1.3
+    n = 11
+    bare = _peak_rss_bytes("-c", "import xxchain.cli")
+    solved = _peak_rss_bytes("-m", "xxchain.cli", "negativity", "--n", str(n), "--dense-cap", str(n), "--b", "0.3",
+                             "--t", "0.5")
+    assert solved - bare < 1.5 * 8 * 4**n
 
 
 def test_negativity_stream_checks_its_chains():

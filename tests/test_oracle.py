@@ -12,6 +12,7 @@ from xxchain import (
     enumerate_levels,
     ground_sector,
 )
+import xxchain.oracle
 from xxchain.oracle import DenseHamiltonian, residual_norms
 
 
@@ -150,13 +151,13 @@ def test_residual_norms_of_the_zero_hamiltonian():
 
 
 def test_perturbed_eigenvector_fails_the_gate(monkeypatch):
-    eigh = np.linalg.eigh
+    syevd = xxchain.oracle.syevd  # the solver diagonalize calls
 
-    def perturbed(matrix):
-        values, vectors = eigh(matrix)
-        vectors[3, 5] += 1e-6
-        return values, vectors
+    def perturbed(matrix, vectors):
+        values, eigenvectors = syevd(matrix, vectors)
+        eigenvectors[3, 5] += 1e-6
+        return values, eigenvectors
 
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    monkeypatch.setattr(xxchain.oracle, "syevd", perturbed)
     with pytest.raises(NumericalError, match="eigenpair residual .* exceeds 1.0e-08"):
         diagonalize(build_hamiltonian(ChainParams(n=4, b=0.31)))
